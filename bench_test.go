@@ -14,9 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"finser/internal/logic"
 	"finser/internal/phys"
-	"finser/internal/sram"
 )
 
 // Shared bench fixtures (characterizations dominate setup cost).
@@ -501,32 +499,6 @@ func BenchmarkLargeArray(b *testing.B) {
 		e.POFAtEnergy(phys.Alpha, 1, batch, uint64(i))
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "strikes/s")
-}
-
-// BenchmarkLogicSETThreshold times the combinational-logic extension and
-// reports the SET propagation threshold vs the SRAM critical charge.
-func BenchmarkLogicSETThreshold(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ch, err := logic.NewChain(Default14nmSOI(), 0.8, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		thr, err := ch.PropagationThreshold(1e-18, 5e-14)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cell, err := sram.NewCell(Default14nmSOI(), 0.8, sram.VthShifts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		qc, err := cell.CriticalCharge(sram.AxisI1, 1e-18, 5e-14, sram.ShapeRect)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = thr / qc
-	}
-	b.ReportMetric(ratio, "logic/sram-threshold")
 }
 
 // BenchmarkGridLUTEval measures the serialized-LUT POF evaluation path —

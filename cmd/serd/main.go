@@ -1,9 +1,10 @@
 // Command serd is the SER-as-a-service daemon: a long-running HTTP/JSON
 // server that accepts FlowConfig-shaped soft-error jobs, runs them on a
 // bounded worker pool behind an admission queue, and survives the failures
-// a batch CLI cannot — transient stage errors are retried with jittered
-// backoff, persistently failing species stages are circuit-broken, and a
-// saturated queue sheds load with 503 + Retry-After instead of melting.
+// a batch CLI cannot — every job runs as energy-bin shards, a failed shard
+// is retried with jittered backoff under one attempt budget
+// (-shard-attempts), completed shards are checkpointed, and a saturated
+// queue sheds load with 503 + Retry-After instead of melting.
 //
 // Usage:
 //
@@ -31,14 +32,16 @@
 //	                        integration (the worker half of the distributed
 //	                        protocol; coordinators call this, not humans)
 //
-// Distributed mode: -coordinator "http://w1:8080,http://w2:8080" turns this
-// serd into a coordinator — submitted jobs are split into energy-bin shards
-// and fanned out to the listed worker serds (plain serds; /shards is always
-// served) with work stealing, per-worker circuit breakers, and retry on
-// another worker when one crashes or times out. The merged FIT is
-// bit-identical to a single-node run of the same config/seed (jobs must pin
-// "workers"). Shard lifecycle events appear on the job's SSE stream, and
-// /readyz reports 503 while every worker's breaker is open.
+// Distributed mode: a single serd runs a job's shards in process. With
+// -coordinator "http://w1:8080,http://w2:8080" the same shards fan out to
+// the listed worker serds instead (plain serds; /shards is always served)
+// with work stealing, per-worker circuit breakers (-breaker-threshold,
+// -breaker-cooldown), and retry on another worker when one crashes or
+// times out. Either way the merged FIT is bit-identical to a single-node
+// run of the same config/seed at the same worker count; a job that leaves
+// "workers" at 0 runs at this serd's GOMAXPROCS. Shard lifecycle events
+// appear on the job's SSE stream, and /readyz reports 503 while every
+// worker's breaker is open.
 //
 // Multi-tenant QoS: submissions carry an X-Tenant header (absent = the
 // anonymous tenant) and an optional "class" field (interactive|batch,
@@ -53,9 +56,9 @@
 // interactive arrival that finds every worker busy on batch jobs asks the
 // longest-running one to yield at its next checkpoint boundary: the victim
 // requeues, later resumes from its per-bin checkpoint, and its final FIT is
-// bit-identical to an uninterrupted run. Per-tenant counters, latency
-// histograms, and circuit breakers appear in /metrics with tenant/class
-// labels in the Prometheus exposition.
+// bit-identical to an uninterrupted run. Per-tenant counters and latency
+// histograms appear in /metrics with tenant/class labels in the Prometheus
+// exposition.
 //
 // Every job-scoped log line is structured (JSON by default, -log-format
 // text for key=value) and stamped with the job ID and configuration
@@ -103,7 +106,6 @@ import (
 	"finser/internal/dist"
 	"finser/internal/obs"
 	"finser/internal/qos"
-	"finser/internal/retry"
 	"finser/internal/server"
 )
 
@@ -138,10 +140,8 @@ func main() {
 		workers      = flag.Int("workers", server.DefaultWorkers, "worker pool size (concurrent jobs)")
 		jobTimeout   = flag.Duration("job-timeout", server.DefaultJobTimeout, "default per-job deadline (jobs may override via timeout_seconds)")
 		retryAfter   = flag.Duration("retry-after", server.DefaultRetryAfter, "Retry-After hint returned with 503 rejections")
-		maxAttempts  = flag.Int("retries", 4, "per-stage attempt budget (1 = no retries)")
-		baseDelay    = flag.Duration("retry-base", 100*time.Millisecond, "base retry backoff (grows exponentially with full jitter)")
-		brkThreshold = flag.Int("breaker-threshold", 5, "consecutive stage failures that trip a species breaker")
-		brkCooldown  = flag.Duration("breaker-cooldown", 30*time.Second, "open-breaker cooldown before a half-open probe")
+		brkThreshold = flag.Int("breaker-threshold", 5, "coordinator: consecutive shard failures that trip a worker's breaker")
+		brkCooldown  = flag.Duration("breaker-cooldown", 30*time.Second, "coordinator: open-breaker cooldown before a half-open probe")
 		ckDir        = flag.String("checkpoint-dir", "", "directory for per-job checkpoints; identical resubmissions resume bit-identically")
 		dataDir      = flag.String("data-dir", "", "durable state root: job journal (journal.wal) plus default checkpoint dir; on restart the journal replays and interrupted jobs resume")
 		jobTTL       = flag.Duration("job-ttl", 0, "evict terminal jobs (and orphaned checkpoints) this long after they finish; 0 keeps them forever")
@@ -163,7 +163,7 @@ func main() {
 		coordinator   = flag.String("coordinator", "", "comma-separated worker serd URLs; non-empty switches this serd into coordinator mode (jobs shard across the workers)")
 		shardBins     = flag.Int("shard-bins", 2, "coordinator: energy bins per shard")
 		shardTimeout  = flag.Duration("shard-timeout", 10*time.Minute, "coordinator: per-shard-attempt deadline")
-		shardAttempts = flag.Int("shard-attempts", 4, "coordinator: per-shard attempt budget across all workers before the job degrades to a partial FIT")
+		shardAttempts = flag.Int("shard-attempts", 4, "per-shard attempt budget (across all workers in coordinator mode) before the job degrades to a partial FIT")
 		stealAfter    = flag.Duration("steal-after", 30*time.Second, "coordinator: how long a shard may stay in flight before an idle worker duplicate-dispatches it")
 		shardConc     = flag.Int("shard-concurrency", 0, "worker: concurrent shard slots on /shards (excess sheds 503); 0 selects the worker pool size")
 	)
@@ -186,6 +186,9 @@ func main() {
 		if class != qos.ClassInteractive && class != qos.ClassBatch {
 			log.Fatalf("-qos-weights: unknown class %q (want interactive or batch)", class)
 		}
+	}
+	if *shardBins <= 0 || *shardAttempts <= 0 {
+		log.Fatalf("-shard-bins and -shard-attempts must be positive, got %d and %d", *shardBins, *shardAttempts)
 	}
 	if *preempt && *ckDir == "" && *dataDir == "" {
 		log.Fatal("-preempt requires -checkpoint-dir or -data-dir: yielded work resumes from checkpoints")
@@ -212,15 +215,10 @@ func main() {
 	}
 
 	reg := finser.NewMetrics()
-	var distributor server.Distributor
+	distCfg := dist.Config{ShardAttempts: *shardAttempts}
 	if *coordinator != "" {
-		co, err := dist.New(dist.Config{
-			Workers:       strings.Split(*coordinator, ","),
-			ShardBins:     *shardBins,
-			ShardTimeout:  *shardTimeout,
-			ShardAttempts: *shardAttempts,
-			StealAfter:    *stealAfter,
-			Metrics:       reg,
+		runners, err := dist.NewHTTPRunners(strings.Split(*coordinator, ","), dist.HTTPConfig{
+			Timeout: *shardTimeout,
 			Breaker: breaker.Config{
 				FailureThreshold: *brkThreshold,
 				Cooldown:         *brkCooldown,
@@ -232,7 +230,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		distributor = co
+		distCfg.Runners = runners
+		distCfg.ShardBins = *shardBins
+		distCfg.StealAfter = *stealAfter
 	}
 	srv := server.New(server.Config{
 		QueueDepth:       *queueDepth,
@@ -255,22 +255,8 @@ func main() {
 		Heartbeat:        *heartbeat,
 		EventBuffer:      *eventBuffer,
 		Logger:           logger,
-		Distributor:      distributor,
+		Dist:             distCfg,
 		ShardConcurrency: *shardConc,
-		Retry: retry.Policy{
-			MaxAttempts: *maxAttempts,
-			BaseDelay:   *baseDelay,
-			OnRetry: func(attempt int, err error, delay time.Duration) {
-				log.Printf("stage attempt %d failed (%v); retrying in %s", attempt, err, delay.Round(time.Millisecond))
-			},
-		},
-		Breaker: breaker.Config{
-			FailureThreshold: *brkThreshold,
-			Cooldown:         *brkCooldown,
-			OnStateChange: func(name string, from, to breaker.State) {
-				log.Printf("breaker %s: %s → %s", name, from, to)
-			},
-		},
 	})
 	if *dataDir != "" {
 		stats, err := srv.Recover()

@@ -395,7 +395,8 @@ type FlowConfig struct {
 	// the flat budget. ItersPerBin becomes the flat reference budget. Valid
 	// values are in (0, 0.5]; the tolerance is result-determining and part
 	// of the flow fingerprint, so a fixed config stays bit-identical across
-	// runs, worker counts, checkpoint resume, and distributed shard merges.
+	// runs, checkpoint resume, and distributed shard merges at a fixed
+	// worker count.
 	// Zero (the default) keeps the exact flat-budget integration.
 	FITRelErr float64
 	// AlphaRate is the alpha emission rate in α/(cm²·h); zero selects the
@@ -668,8 +669,8 @@ func buildFlowEngine(cfg FlowConfig, char *Characterization, flow *obs.Span) (*E
 // RunFlow did: the spectrum, its Eq. 8 energy-bin discretization, and the
 // per-species seed offset (alpha: Seed+1, proton: Seed+2) matching the
 // RunFlow stream split. cfg must already carry defaults. Every FIT surface
-// — single-node, staged, and distributed shards — plans through this one
-// function, so they all agree on the bins and seed schedule to the bit.
+// — single-node and shards — plans through this one function, so they all
+// agree on the bins and seed schedule to the bit.
 func speciesEnv(cfg FlowConfig, sp Species) (spec Spectrum, bins []EnergyBin, seed uint64, err error) {
 	var (
 		name   string
@@ -724,9 +725,9 @@ func speciesName(sp Species) string {
 }
 
 // CharacterizeFlowCtx runs only the characterization stage of the flow,
-// with the exact configuration mapping RunFlowCtx uses — the serving
-// layer's first pipeline stage, so the expensive cell model can be retried
-// (or reused) independently of the per-species FIT stages.
+// with the exact configuration mapping RunFlowCtx uses — so a serving
+// layer can build the expensive cell model once and reuse it across the
+// shards of a job.
 func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -752,27 +753,6 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 		return nil, fmt.Errorf("finser: characterize: %w", err)
 	}
 	return char, nil
-}
-
-// SpeciesFITCtx runs the single-species environment half of the flow —
-// engine build, spectrum, bins, FIT integration — with a pre-built
-// characterization. It is the unit a serving layer wraps in per-species
-// retry and circuit-breaker policy: alpha and proton integrate with the
-// same seed substreams RunFlowCtx would use (alpha: Seed+1, proton:
-// Seed+2), so composing the two stages reproduces RunFlowCtx's FlowResult
-// bit-identically, checkpoint-compatible with an uninterrupted run.
-func SpeciesFITCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species) (FITResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return FITResult{}, err
-	}
-	flow := cfg.Obs.StartSpan("flow")
-	defer flow.End()
-	eng, err := buildFlowEngine(cfg, char, flow)
-	if err != nil {
-		return FITResult{}, err
-	}
-	return fitSpecies(ctx, cfg, eng, flow, sp)
 }
 
 // SpeciesBins returns the Eq. 8 energy-bin discretization one species' FIT
@@ -805,44 +785,49 @@ func SpeciesSeedSchedule(cfg FlowConfig, sp Species) ([]uint64, error) {
 	return core.FITSeedSchedule(seed, len(bins)), nil
 }
 
-// SpeciesShardPOFCtx computes the POF points of one species' energy bins
-// [from,to) with a pre-built characterization — the unit of work a
-// distributed worker serd executes. The engine construction, bin plan, and
-// per-bin seeds are exactly those of SpeciesFITCtx, so the returned points
-// are bit-identical to the slice the single-node integration would
-// produce for the same bins; a coordinator merges complete shard sets with
-// AssembleSpeciesFIT.
-func SpeciesShardPOFCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species, from, to int) ([]POFPoint, error) {
-	pts, _, err := SpeciesShardPOFConvCtx(ctx, cfg, char, sp, from, to)
-	return pts, err
+// ShardEngine computes energy-bin shards of one flow configuration against
+// one pre-built characterization — the unit of work of every serd job.
+// Build it once per job and reuse it across the job's shards. The engine
+// construction, bin plan, and per-bin seeds are exactly those of
+// RunFlowCtx, so a shard's points are bit-identical to the slice the
+// single-node integration produces for the same bins; merge complete shard
+// sets with AssembleSpeciesFIT.
+type ShardEngine struct {
+	cfg FlowConfig
+	eng *Engine
 }
 
-// SpeciesShardPOFConvCtx is SpeciesShardPOFCtx returning the per-bin
-// convergence records alongside the points when cfg.FITRelErr > 0 (nil
-// under the flat budget) — the shard entry a distributed worker uses so the
-// coordinator can carry each bin's convergence state through the merge.
-func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Characterization, sp Species, from, to int) ([]POFPoint, []BinConv, error) {
+// NewShardEngine builds the shard engine of cfg over char.
+func NewShardEngine(cfg FlowConfig, char *Characterization) (*ShardEngine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	flow := cfg.Obs.StartSpan("flow")
-	defer flow.End()
-	// Shards never checkpoint worker-side: the coordinator owns shard-level
+	// Shards never checkpoint: the coordinator owns shard-level
 	// checkpoints, and a worker-local store would fracture the fingerprint
 	// namespace.
 	cfg.Checkpoint = nil
-	eng, err := buildFlowEngine(cfg, char, flow)
+	eng, err := buildFlowEngine(cfg, char, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &ShardEngine{cfg: cfg, eng: eng}, nil
+}
+
+// SpeciesPOFCtx computes the POF points of species sp's energy bins
+// [from,to). With FITRelErr > 0 it also returns the per-bin convergence
+// records (nil under the flat budget), so the merge can carry each bin's
+// convergence state.
+func (s *ShardEngine) SpeciesPOFCtx(ctx context.Context, sp Species, from, to int) ([]POFPoint, []BinConv, error) {
+	_, bins, seed, err := speciesEnv(s.cfg, sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, bins, seed, err := speciesEnv(cfg, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	shardSpan := flow.Child(fmt.Sprintf("shard-%s-%d-%d", speciesName(sp), from, to))
-	pts, conv, err := eng.POFBinsConvCtx(ctx, sp, bins, cfg.ItersPerBin, core.FITSeedSchedule(seed, len(bins)), from, to)
-	shardSpan.End()
+	flow := s.cfg.Obs.StartSpan("flow")
+	defer flow.End()
+	span := flow.Child("fit-" + speciesName(sp))
+	pts, conv, err := s.eng.POFBinsConvCtx(ctx, sp, bins, s.cfg.ItersPerBin, core.FITSeedSchedule(seed, len(bins)), from, to)
+	span.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("finser: %s shard [%d,%d): %w", speciesName(sp), from, to, err)
 	}
@@ -854,7 +839,7 @@ func SpeciesShardPOFConvCtx(ctx context.Context, cfg FlowConfig, char *Character
 // step. binIdx names the energy bin of each point (nil means all bins, in
 // order). With the complete bin set the accumulation runs the same float
 // operations in the same order as the single-node FITCtx, so the merged
-// FITResult is bit-identical to SpeciesFITCtx's; with a subset it is the
+// FITResult is bit-identical to RunFlowCtx's; with a subset it is the
 // partial FIT sum over just those bins (what a *dist.PartialError reports).
 func AssembleSpeciesFIT(cfg FlowConfig, sp Species, binIdx []int, points []POFPoint) (FITResult, error) {
 	cfg, err := cfg.withDefaults()

@@ -25,9 +25,9 @@ import (
 // statically derivable flux weights, the outcome is identical to a greedy
 // marginal-error-reduction scheduler no matter what order bins execute in.
 // That order-independence is what keeps a fixed config bit-identical across
-// worker counts, checkpoint resume, and the distributed shard merge: shards
-// and the single-node loop run the exact same per-bin decision procedure on
-// the exact same batch streams.
+// checkpoint resume and the distributed shard merge at a fixed worker count:
+// shards and the single-node loop run the exact same per-bin decision
+// procedure on the exact same batch streams.
 
 const (
 	// adaptiveFlatBatches splits the flat per-bin budget (ItersPerBin) into

@@ -975,22 +975,16 @@ func FITSeedSchedule(seed uint64, nBins int) []uint64 {
 	return seeds
 }
 
-// POFBinsCtx is the shard-scoped FIT entry: it estimates the POF points of
-// bins[from:to) using the given pre-drawn seed schedule (aligned with bins,
-// typically FITSeedSchedule output), exactly as FITCtx would for those
-// bins. A worker computing bins [from,to) with the job's seed schedule
-// produces points bit-identical to the single-node integration, so a
-// coordinator can merge shards from many machines with AssembleFIT and land
-// on the same FITResult to the last bit. It is POFBinsConvCtx minus the
-// convergence records.
-func (e *Engine) POFBinsCtx(ctx context.Context, sp phys.Species, bins []spectra.EnergyBin, itersPerBin int, seeds []uint64, from, to int) ([]POFPoint, error) {
-	pts, _, err := e.POFBinsConvCtx(ctx, sp, bins, itersPerBin, seeds, from, to)
-	return pts, err
-}
-
-// POFBinsConvCtx is POFBinsCtx returning per-bin convergence records
-// alongside the points when the engine runs in adaptive mode
-// (Config.FITRelErr > 0); conv is nil under the flat budget. The adaptive
+// POFBinsConvCtx is the shard-scoped FIT entry: it estimates the POF
+// points of bins[from:to) using the given pre-drawn seed schedule (aligned
+// with bins, typically FITSeedSchedule output), exactly as FITCtx would for
+// those bins. A worker computing bins [from,to) with the job's seed
+// schedule produces points bit-identical to the single-node integration,
+// so a coordinator can merge shards from many machines with AssembleFIT
+// and land on the same FITResult to the last bit.
+//
+// In adaptive mode (Config.FITRelErr > 0) it also returns per-bin
+// convergence records; conv is nil under the flat budget. The adaptive
 // stopping rule depends only on each bin's own batch stream plus the flux
 // weights of the full bin plan — both pure functions of the job config — so
 // a shard worker reaches exactly the decisions the single-node adaptive
@@ -1062,14 +1056,14 @@ func AssembleFIT(sp phys.Species, vdd float64, bins []spectra.EnergyBin, points 
 }
 
 // ArrayAreaCm2 returns the die area of the tiled array in cm² — the Eq. 8
-// area factor — without building a full engine, so a coordinator that never
-// touches a characterization can still run the FIT merge.
+// area factor — without building a full engine or placing its fins, so a
+// coordinator that never touches a characterization can still run the FIT
+// merge, once per completed bin.
 func ArrayAreaCm2(tech finfet.Technology, rows, cols int) (float64, error) {
-	arr, err := layout.NewArray(layout.ThinCellLayout(tech), rows, cols)
-	if err != nil {
-		return 0, err
+	if rows <= 0 || cols <= 0 {
+		return 0, fmt.Errorf("core: bad array dims %d×%d", rows, cols)
 	}
-	lx, ly := arr.DimsCm()
+	lx, ly := layout.ArrayDimsCm(layout.ThinCellLayout(tech), rows, cols)
 	return lx * ly, nil
 }
 

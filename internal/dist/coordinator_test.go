@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,14 +40,21 @@ func newWorker(t *testing.T, faults *faultinject.Hooks) *httptest.Server {
 	return ts
 }
 
-// testCoordinator builds a coordinator with test-speed timings.
-func testCoordinator(t *testing.T, cfg dist.Config) *dist.Coordinator {
+// testCoordinator builds a coordinator over HTTP runners for the given
+// worker URLs, with test-speed timings. A zero bcfg selects a 3-failure,
+// 200 ms-cooldown breaker per worker.
+func testCoordinator(t *testing.T, workers []string, bcfg breaker.Config, cfg dist.Config) *dist.Coordinator {
 	t.Helper()
+	if bcfg.FailureThreshold == 0 {
+		bcfg = breaker.Config{FailureThreshold: 3, Cooldown: 200 * time.Millisecond}
+	}
+	runners, err := dist.NewHTTPRunners(workers, dist.HTTPConfig{Timeout: 30 * time.Second, Breaker: bcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Runners = runners
 	if cfg.ShardBins == 0 {
 		cfg.ShardBins = 2
-	}
-	if cfg.ShardTimeout == 0 {
-		cfg.ShardTimeout = 30 * time.Second
 	}
 	if cfg.ShardAttempts == 0 {
 		cfg.ShardAttempts = 6
@@ -56,9 +64,6 @@ func testCoordinator(t *testing.T, cfg dist.Config) *dist.Coordinator {
 	}
 	if cfg.Retry.BaseDelay == 0 {
 		cfg.Retry = retry.Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	}
-	if cfg.Breaker.FailureThreshold == 0 {
-		cfg.Breaker = breaker.Config{FailureThreshold: 3, Cooldown: 200 * time.Millisecond}
 	}
 	co, err := dist.New(cfg)
 	if err != nil {
@@ -117,7 +122,7 @@ func TestRunTwoWorkersBitIdentical(t *testing.T) {
 	flow := tinyFlow()
 	want := singleNode(t, flow)
 	w1, w2 := newWorker(t, nil), newWorker(t, nil)
-	co := testCoordinator(t, dist.Config{Workers: []string{w1.URL, w2.URL}})
+	co := testCoordinator(t, []string{w1.URL, w2.URL}, breaker.Config{}, dist.Config{})
 
 	var ev eventCollector
 	got, err := co.Run(context.Background(), flow, ev.emit)
@@ -153,7 +158,18 @@ func TestChaosWorkerKilledMidShard(t *testing.T) {
 		if dead.Load() {
 			panic(http.ErrAbortHandler) // dead worker: abort the connection
 		}
-		srv.Handler().ServeHTTP(w, r)
+		// Buffer the shard's response: a worker killed while the shard was
+		// computing never delivers it, however the kill races the write.
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, r)
+		if dead.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
 	}))
 	defer ts1.Close()
 	// Kill worker 1 in the middle of its first shard's Monte Carlo: after
@@ -165,8 +181,7 @@ func TestChaosWorkerKilledMidShard(t *testing.T) {
 	})
 
 	w2 := newWorker(t, nil)
-	co := testCoordinator(t, dist.Config{
-		Workers:       []string{ts1.URL, w2.URL},
+	co := testCoordinator(t, []string{ts1.URL, w2.URL}, breaker.Config{}, dist.Config{
 		ShardAttempts: 8,
 		StealAfter:    200 * time.Millisecond,
 	})
@@ -216,11 +231,9 @@ func TestRunPartialErrorNamesMissingShards(t *testing.T) {
 	srv := server.New(server.Config{Workers: 2})
 	srv.Start()
 	w := protonKiller(t, srv.Handler())
-	co := testCoordinator(t, dist.Config{
-		Workers:       []string{w.URL},
+	co := testCoordinator(t, []string{w.URL}, breaker.Config{FailureThreshold: 100, Cooldown: 50 * time.Millisecond}, dist.Config{
 		ShardAttempts: 2,
 		Retry:         retry.Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		Breaker:       breaker.Config{FailureThreshold: 100, Cooldown: 50 * time.Millisecond},
 	})
 
 	_, err := co.Run(context.Background(), flow, nil)
@@ -267,10 +280,8 @@ func TestRunResumesOnlyMissingShards(t *testing.T) {
 	srv := server.New(server.Config{Workers: 2})
 	srv.Start()
 	broken := protonKiller(t, srv.Handler())
-	co1 := testCoordinator(t, dist.Config{
-		Workers:       []string{broken.URL},
+	co1 := testCoordinator(t, []string{broken.URL}, breaker.Config{FailureThreshold: 100, Cooldown: 50 * time.Millisecond}, dist.Config{
 		ShardAttempts: 1,
-		Breaker:       breaker.Config{FailureThreshold: 100, Cooldown: 50 * time.Millisecond},
 	})
 	if _, err := co1.Run(context.Background(), flow, nil); err == nil {
 		t.Fatal("first run should have failed on proton shards")
@@ -284,7 +295,7 @@ func TestRunResumesOnlyMissingShards(t *testing.T) {
 	flow2 := tinyFlow()
 	flow2.Checkpoint = store2
 	healthy := newWorker(t, nil)
-	co2 := testCoordinator(t, dist.Config{Workers: []string{healthy.URL}})
+	co2 := testCoordinator(t, []string{healthy.URL}, breaker.Config{}, dist.Config{})
 
 	var ev eventCollector
 	got, err := co2.Run(context.Background(), flow2, ev.emit)
@@ -318,7 +329,7 @@ func TestAdaptiveRunBitIdentical(t *testing.T) {
 	}
 	w1, w2 := newWorker(t, nil), newWorker(t, nil)
 	for _, bins := range []int{1, 2, 7} {
-		co := testCoordinator(t, dist.Config{Workers: []string{w1.URL, w2.URL}, ShardBins: bins})
+		co := testCoordinator(t, []string{w1.URL, w2.URL}, breaker.Config{}, dist.Config{ShardBins: bins})
 		got, err := co.Run(context.Background(), flow, nil)
 		if err != nil {
 			t.Fatalf("ShardBins=%d: %v", bins, err)
@@ -346,10 +357,8 @@ func TestAdaptiveResumeOnlyMissingShards(t *testing.T) {
 	srv := server.New(server.Config{Workers: 2})
 	srv.Start()
 	broken := protonKiller(t, srv.Handler())
-	co1 := testCoordinator(t, dist.Config{
-		Workers:       []string{broken.URL},
+	co1 := testCoordinator(t, []string{broken.URL}, breaker.Config{FailureThreshold: 100, Cooldown: 50 * time.Millisecond}, dist.Config{
 		ShardAttempts: 1,
-		Breaker:       breaker.Config{FailureThreshold: 100, Cooldown: 50 * time.Millisecond},
 	})
 	if _, err := co1.Run(context.Background(), flow, nil); err == nil {
 		t.Fatal("first run should have failed on proton shards")
@@ -362,7 +371,7 @@ func TestAdaptiveResumeOnlyMissingShards(t *testing.T) {
 	flow2 := base
 	flow2.Checkpoint = store2
 	healthy := newWorker(t, nil)
-	co2 := testCoordinator(t, dist.Config{Workers: []string{healthy.URL}})
+	co2 := testCoordinator(t, []string{healthy.URL}, breaker.Config{}, dist.Config{})
 
 	var ev eventCollector
 	got, err := co2.Run(context.Background(), flow2, ev.emit)
@@ -395,8 +404,7 @@ func TestStealFirstResultWins(t *testing.T) {
 	defer slow.Close()
 	fast := newWorker(t, nil)
 
-	co := testCoordinator(t, dist.Config{
-		Workers:    []string{slow.URL, fast.URL},
+	co := testCoordinator(t, []string{slow.URL, fast.URL}, breaker.Config{}, dist.Config{
 		StealAfter: 100 * time.Millisecond,
 	})
 	var ev eventCollector
@@ -415,10 +423,12 @@ func TestStealFirstResultWins(t *testing.T) {
 
 // TestBreakerRecoveryViaProbe drives the full circuit round trip against a
 // worker that fails long enough to trip its breaker and then recovers: the
-// cooldown's half-open probe (whose state transition fires the observer
-// under the breaker lock) must re-admit the worker and the run must still
-// land bit-identically. Regression test for a self-deadlock where the
-// state-change observer called back into the breaker.
+// cooldown's half-open probe must re-admit the worker and the run must
+// still land bit-identically. With a lone runner, every wait on a backoff
+// or cooldown depends on a timer wake-up; a wake-up broadcast outside the
+// dispatcher lock could land between the condition check and cond.Wait and
+// park the runner forever. On a hang the test dumps every goroutine so a
+// deadlock can be told apart from a slow run.
 func TestBreakerRecoveryViaProbe(t *testing.T) {
 	flow := tinyFlow()
 	want := singleNode(t, flow)
@@ -435,13 +445,10 @@ func TestBreakerRecoveryViaProbe(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	co := testCoordinator(t, dist.Config{
-		Workers: []string{flaky.URL},
-		// The healthy-worker gauge must be live: refreshing it from inside
-		// the state-change observer is the deadlock under test.
+	co := testCoordinator(t, []string{flaky.URL}, breaker.Config{FailureThreshold: 2, Cooldown: 50 * time.Millisecond}, dist.Config{
+		// A live healthy-runner gauge reads every breaker after each attempt.
 		Metrics:       finser.NewMetrics(),
 		ShardAttempts: 20,
-		Breaker:       breaker.Config{FailureThreshold: 2, Cooldown: 50 * time.Millisecond},
 		Retry:         retry.Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 	})
 	done := make(chan struct{})
@@ -454,7 +461,8 @@ func TestBreakerRecoveryViaProbe(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("run deadlocked after breaker trip + recovery")
+		buf := make([]byte, 1<<20)
+		t.Fatalf("run deadlocked after breaker trip + recovery; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -469,10 +477,8 @@ func TestReadyReflectsBreakers(t *testing.T) {
 	// breaker after FailureThreshold.
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // now refuses connections
-	co := testCoordinator(t, dist.Config{
-		Workers:       []string{dead.URL},
+	co := testCoordinator(t, []string{dead.URL}, breaker.Config{FailureThreshold: 2, Cooldown: time.Hour}, dist.Config{
 		ShardAttempts: 4,
-		Breaker:       breaker.Config{FailureThreshold: 2, Cooldown: time.Hour},
 		Retry:         retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
 	if err := co.Ready(); err != nil {
@@ -484,5 +490,22 @@ func TestReadyReflectsBreakers(t *testing.T) {
 	}
 	if err := co.Ready(); err == nil {
 		t.Fatal("pool with every breaker open should report not ready")
+	}
+}
+
+// TestNewHTTPRunnersRejectsBadURLs: worker URLs come from the command line,
+// so relative or repeated ones fail with an error naming them instead of
+// reaching the coordinator.
+func TestNewHTTPRunnersRejectsBadURLs(t *testing.T) {
+	for _, urls := range [][]string{
+		{"localhost:8081"},
+		{"http://127.0.0.1:8081", "http://127.0.0.1:8081/"},
+	} {
+		if _, err := dist.NewHTTPRunners(urls, dist.HTTPConfig{}); err == nil {
+			t.Errorf("NewHTTPRunners(%q) accepted", urls)
+		}
+	}
+	if _, err := dist.NewHTTPRunners([]string{"http://a:1", "http://b:1/"}, dist.HTTPConfig{}); err != nil {
+		t.Errorf("valid URLs rejected: %v", err)
 	}
 }

@@ -1,11 +1,12 @@
-// Package dist distributes one FIT job across a fleet of worker serds and
+// Package dist runs one FIT job as energy-bin shards on a set of shard
+// runners — worker serds over HTTP, or the serving process itself — and
 // merges the pieces back into a result bit-identical to the single-node
 // run. The shard axis is the job's natural one: energy bins × pre-drawn
 // seed-schedule slices (core.FITSeedSchedule makes bin k's Monte-Carlo
 // substream a pure function of the job seed, so a shard computes the same
-// numbers on any machine). Robustness is the point — a worker crash,
-// timeout, or 5xx re-enqueues the shard for another worker, a breaker-open
-// worker is drained from rotation until its cooldown probe, stragglers are
+// numbers anywhere). Robustness is the point — a runner crash, timeout, or
+// 5xx re-enqueues the shard for another runner, a breaker-open worker is
+// drained from rotation until its cooldown probe, stragglers are
 // duplicated with first-result-wins dedup, and shards that exhaust their
 // retry budget degrade the job to a typed *PartialError naming the missing
 // bins with the partial FIT sum, never to a lost job.
@@ -281,10 +282,8 @@ func DecodeShardRequest(data []byte) (*ShardRequest, error) {
 }
 
 // DecodeShardResult parses and validates a worker's shard result against
-// the request it answers. Corrupt or truncated payloads, mismatched
-// identities, and non-finite or out-of-range physics all return a typed
-// *WireError — nothing unvalidated ever reaches the merge, and a NaN can
-// never poison the FIT sum.
+// the request it answers (see Validate). Every failure is a typed
+// *WireError.
 func DecodeShardResult(data []byte, want *ShardRequest) (*ShardResult, error) {
 	var res ShardResult
 	dec := json.NewDecoder(strings.NewReader(string(data)))
@@ -292,29 +291,38 @@ func DecodeShardResult(data []byte, want *ShardRequest) (*ShardResult, error) {
 	if err := dec.Decode(&res); err != nil {
 		return nil, &WireError{Field: "body", Reason: "undecodable: " + err.Error()}
 	}
+	if err := res.Validate(want); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Validate holds a shard result to the request it answers (want may be
+// nil to check the result alone). Mismatched identities, and non-finite or
+// out-of-range physics all return a typed *WireError — nothing unvalidated
+// ever reaches the merge, and a NaN can never poison the FIT sum.
+func (res *ShardResult) Validate(want *ShardRequest) error {
 	if want != nil {
 		if res.Fingerprint != want.Fingerprint {
-			return nil, &WireError{Field: "fingerprint", Reason: fmt.Sprintf("%q answers a different shard than %q", res.Fingerprint, want.Fingerprint)}
+			return &WireError{Field: "fingerprint", Reason: fmt.Sprintf("%q answers a different shard than %q", res.Fingerprint, want.Fingerprint)}
 		}
 		if res.Shard != want.Shard {
-			return nil, &WireError{Field: "shard", Reason: fmt.Sprintf("result names %v, request named %v", res.Shard, want.Shard)}
+			return &WireError{Field: "shard", Reason: fmt.Sprintf("result names %v, request named %v", res.Shard, want.Shard)}
 		}
 	}
 	if err := res.Shard.valid(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(res.Points) != res.Shard.End-res.Shard.Start {
-		return nil, &WireError{Field: "points", Reason: fmt.Sprintf("%d points for a %d-bin shard", len(res.Points), res.Shard.End-res.Shard.Start)}
+		return &WireError{Field: "points", Reason: fmt.Sprintf("%d points for a %d-bin shard", len(res.Points), res.Shard.End-res.Shard.Start)}
 	}
 	if err := ValidatePoints(res.Points); err != nil {
-		return nil, err
+		return err
 	}
 	if want != nil {
-		if err := ValidateConv(res.Points, res.Conv, want.Job.FITRelErr > 0); err != nil {
-			return nil, err
-		}
+		return ValidateConv(res.Points, res.Conv, want.Job.FITRelErr > 0)
 	}
-	return &res, nil
+	return nil
 }
 
 // ValidateConv checks a shard's convergence records against its points at a

@@ -183,7 +183,10 @@ func (a *Array) NumCells() int { return a.Rows * a.Cols }
 
 // DimsCm returns the array's Lx and Ly in centimetres — the paper's
 // Eq. 7/8 area terms.
-func (a *Array) DimsCm() (lx, ly float64) {
-	s := a.bounds.Size()
-	return s.X * 1e-7, s.Y * 1e-7
+func (a *Array) DimsCm() (lx, ly float64) { return ArrayDimsCm(a.Cell, a.Rows, a.Cols) }
+
+// ArrayDimsCm is Array.DimsCm for a rows×cols tiling of lay, without
+// placing any fins.
+func ArrayDimsCm(lay CellLayout, rows, cols int) (lx, ly float64) {
+	return float64(cols) * lay.WidthNm * 1e-7, float64(rows) * lay.HeightNm * 1e-7
 }

@@ -6,7 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,19 +54,17 @@ func newCoordinatorServer(t *testing.T, workers []string, bcfg breaker.Config) *
 	if bcfg.FailureThreshold == 0 {
 		bcfg = breaker.Config{FailureThreshold: 3, Cooldown: 200 * time.Millisecond}
 	}
-	co, err := dist.New(dist.Config{
-		Workers:       workers,
-		ShardBins:     2,
-		ShardTimeout:  30 * time.Second,
-		ShardAttempts: 4,
-		StealAfter:    30 * time.Second,
-		Retry:         retry.Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-		Breaker:       bcfg,
-	})
+	runners, err := dist.NewHTTPRunners(workers, dist.HTTPConfig{Timeout: 30 * time.Second, Breaker: bcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Workers: 1, Distributor: co})
+	srv := New(Config{Workers: 1, Dist: dist.Config{
+		Runners:       runners,
+		ShardBins:     2,
+		ShardAttempts: 4,
+		StealAfter:    30 * time.Second,
+		Retry:         retry.Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	}})
 	srv.Start()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -136,19 +134,35 @@ func TestDistributedJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDistributedSubmitRequiresPinnedWorkers: the Monte-Carlo substream
-// split depends on the effective worker count, so a coordinator rejects
-// jobs that leave it unpinned instead of silently diverging.
-func TestDistributedSubmitRequiresPinnedWorkers(t *testing.T) {
+// TestCoordinatorResolvesUnpinnedWorkers: a job that leaves workers at 0
+// runs under the coordinator's GOMAXPROCS — the value its fingerprint
+// already hashes — and lands bit-identically on RunFlowCtx at that worker
+// count.
+func TestCoordinatorResolvesUnpinnedWorkers(t *testing.T) {
+	flow := distFlow()
+	flow.Workers = 0
+	fp, err := finser.FlowFingerprint(flow, []float64{flow.Vdd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow.Workers = runtime.GOMAXPROCS(0)
+	want, err := finser.RunFlowCtx(context.Background(), flow)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := newDistWorker(t)
 	ts := newCoordinatorServer(t, []string{w.URL}, breaker.Config{})
 
-	resp, body := postJob(t, ts, `{"vdd":0.7,"samples":6,"iters_per_bin":200,"seed":42}`)
-	if resp.StatusCode != http.StatusBadRequest {
+	resp, body := postJob(t, ts, `{"vdd":0.7,"samples":6,"iters_per_bin":200,"alpha_bins":3,"proton_bins":4,"seed":42}`)
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("unpinned submit status = %d, body %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(string(body), "workers") {
-		t.Errorf("rejection does not name the workers field: %s", body)
+	done := waitState(t, ts, "job-1", StateDone)
+	if done.Fingerprint != fp {
+		t.Errorf("fingerprint = %s, want %s (workers 0 hashes as GOMAXPROCS)", done.Fingerprint, fp)
+	}
+	if !reflect.DeepEqual(done.Result.Alpha, want.Alpha) || !reflect.DeepEqual(done.Result.Proton, want.Proton) {
+		t.Errorf("unpinned job diverges from RunFlowCtx at workers=%d", flow.Workers)
 	}
 }
 

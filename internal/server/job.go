@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,8 @@ const (
 	StateRunning JobState = "running"
 	// StateDone means the flow completed; Result is populated.
 	StateDone JobState = "done"
-	// StateFailed means the flow failed after exhausting its retry
-	// budget (or on a non-retryable error).
+	// StateFailed means the flow failed after a shard exhausted its
+	// attempt budget (or on a non-retryable error).
 	StateFailed JobState = "failed"
 	// StateCanceled means the job was canceled by the API or a drain.
 	StateCanceled JobState = "canceled"
@@ -52,9 +53,11 @@ type JobRequest struct {
 	// checkerboard.
 	Pattern string `json:"pattern,omitempty"`
 	Seed    uint64 `json:"seed,omitempty"`
-	// Workers bounds the flow's internal parallelism (0 = GOMAXPROCS).
-	// Checkpointed jobs resume bit-identically only under the same
-	// effective value, so heavy users pin it explicitly.
+	// Workers bounds the flow's internal parallelism. The Monte-Carlo
+	// substream split depends on it, so 0 resolves to the server's
+	// GOMAXPROCS at admission (and again on journal replay); checkpointed
+	// jobs resume bit-identically only under the same value, so heavy
+	// users pin it explicitly.
 	Workers int `json:"workers,omitempty"`
 	// FitRelErr enables adaptive FIT sampling: each energy bin stops once
 	// its POF confidence interval is inside this relative tolerance (0
@@ -90,7 +93,8 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("server: request field %s %s", e.Field, e.Reason)
 }
 
-// flowConfig maps the wire request onto a finser.FlowConfig. Field-level
+// flowConfig maps the wire request onto a finser.FlowConfig, resolving
+// workers 0 to GOMAXPROCS — the value FlowFingerprint hashes. Field-level
 // validation beyond the mapping itself is finser's job (Validate).
 func (r JobRequest) flowConfig() (finser.FlowConfig, error) {
 	var pat finser.DataPattern
@@ -112,6 +116,10 @@ func (r JobRequest) flowConfig() (finser.FlowConfig, error) {
 	default:
 		return finser.FlowConfig{}, &RequestError{Field: "class", Reason: fmt.Sprintf("unknown %q (interactive or batch)", r.Class)}
 	}
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	return finser.FlowConfig{
 		Vdd:              r.Vdd,
 		Rows:             r.Rows,
@@ -125,7 +133,7 @@ func (r JobRequest) flowConfig() (finser.FlowConfig, error) {
 		ProtonBins:       r.ProtonBins,
 		Pattern:          pat,
 		Seed:             r.Seed,
-		Workers:          r.Workers,
+		Workers:          workers,
 		FITRelErr:        r.FitRelErr,
 	}, nil
 }
@@ -146,11 +154,10 @@ type JobStatus struct {
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
-	// Retries counts stage attempts beyond the first across the whole
-	// pipeline.
+	// Retries counts retried shard attempts across the whole job.
 	Retries int64 `json:"retries,omitempty"`
-	// ResumedStages is how many checkpointed FIT stages the job restored
-	// at start (a resubmitted drained job reports > 0).
+	// ResumedStages is how many checkpointed stages the job's checkpoint
+	// held at start (a resubmitted drained job reports > 0).
 	ResumedStages int `json:"resumed_stages,omitempty"`
 	// Fingerprint is the result-determining configuration digest
 	// (finser.FlowFingerprint) — the key correlating this job with its

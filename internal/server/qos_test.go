@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -428,24 +430,43 @@ func TestRetryAfterHintLoadAware(t *testing.T) {
 	}
 }
 
-// TestBreakerTenantIsolation: named tenants get their own breaker
-// instances (tenant/species keys), the anonymous tenant keeps the legacy
-// bare-species breakers.
+// TestBreakerTenantIsolation: in-process shards run without a breaker, so
+// a tenant whose job fails shard attempt after shard attempt sheds nothing
+// for anyone else — the next tenant's job runs to done and /readyz stays
+// 200.
 func TestBreakerTenantIsolation(t *testing.T) {
-	s := New(Config{})
-	anon := s.breakerFor(qos.DefaultTenant, "alpha")
-	if anon != s.breakers["alpha"] {
-		t.Error("anon tenant must reuse the legacy bare-species breaker")
+	// With Workers=1 the particle site is hit deterministically: failing
+	// hits 1..16 fails the first particle of every attempt acme's job makes
+	// (4 one-bin shards × the default 4 attempts), so each shard exhausts
+	// its budget.
+	faults := faultinject.New()
+	for hit := int64(1); hit <= 16; hit++ {
+		faults.ErrorAt(finser.FaultSiteParticle, hit, errors.New("injected fault in acme's job"))
 	}
-	acme := s.breakerFor("acme", "alpha")
-	if acme == anon {
-		t.Error("named tenant shares the anon breaker; want isolation")
+	s := New(Config{Workers: 1, Faults: faults})
+	s.Start()
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	job := `{"vdd": 0.7, "samples": 8, "iters_per_bin": 200, "alpha_bins": 2, "proton_bins": 2, "seed": %d, "workers": 1}`
+	if resp, out := postJobTenant(t, ts, "acme", fmt.Sprintf(job, 7)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("acme submit = %d: %s", resp.StatusCode, out)
 	}
-	if again := s.breakerFor("acme", "alpha"); again != acme {
-		t.Error("breakerFor not memoized per tenant/species")
+	if st := waitState(t, ts, "job-1", StateFailed); !strings.Contains(st.Error, "alpha[0:1)") {
+		t.Errorf("failed job error = %q, want it to name the missing shard", st.Error)
 	}
-	if other := s.breakerFor("other", "alpha"); other == acme {
-		t.Error("two named tenants share a breaker; want isolation")
+	if resp, out := postJobTenant(t, ts, "lab", fmt.Sprintf(job, 8)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("lab submit = %d: %s", resp.StatusCode, out)
+	}
+	waitState(t, ts, "job-2", StateDone)
+	rz, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rz.Body.Close()
+	if rz.StatusCode != http.StatusOK {
+		t.Errorf("/readyz after a failed tenant job = %d, want 200", rz.StatusCode)
 	}
 }
 

@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"finser"
-	"finser/internal/breaker"
 	"finser/internal/faultinject"
 	"finser/internal/obs"
-	"finser/internal/retry"
 )
 
 // postJob submits a request body and returns the decoded status (or error
@@ -253,10 +251,10 @@ func TestValidationErrorsMapTo400(t *testing.T) {
 }
 
 // TestRetryBreakerEndToEnd is the fault-injection acceptance test: two
-// injected transient failures in the alpha FIT stage trip the alpha
-// breaker, the retry policy's backoff outlasts the cooldown, the half-open
-// probe completes the stage, and the finished job's FIT numbers are
-// byte-identical to an undisturbed run.
+// injected transient particle failures are retried as shard attempts, the retries are counted on the job and the registry
+// alike, and the finished job's FIT numbers are byte-identical to an
+// undisturbed run. In-process shards have no breaker to trip; the shard
+// attempt budget alone absorbs the faults.
 func TestRetryBreakerEndToEnd(t *testing.T) {
 	req := JobRequest{
 		Vdd: 0.7, Samples: 8, ItersPerBin: 200,
@@ -271,28 +269,16 @@ func TestRetryBreakerEndToEnd(t *testing.T) {
 		t.Fatalf("baseline flow: %v", err)
 	}
 
-	// With Workers=1 the particle site is hit deterministically: alpha is
-	// hits 1..400 (2 bins × 200 iters). Fail attempt 1 at hit 50 and
-	// attempt 2 at hit 100 — two consecutive countable failures trip the
-	// threshold-2 breaker. The deterministic backoff after attempt 2 is
-	// 0.99·(4 ms·2) ≈ 7.9 ms, past the 1 ms cooldown, so attempt 3 is the
-	// half-open probe and runs clean.
+	// With Workers=1 the particle site is hit deterministically: the
+	// first alpha shard (one bin) starts at hit 1 and fails at hit 50; the
+	// next shard, dispatched while the first backs off, starts at hit 51
+	// and fails at hit 100. Every later attempt runs clean.
 	faults := faultinject.New()
 	faults.ErrorAt(finser.FaultSiteParticle, 50, errors.New("transient device fault A"))
 	faults.ErrorAt(finser.FaultSiteParticle, 100, errors.New("transient device fault B"))
 
 	reg := obs.NewRegistry()
-	s := New(Config{
-		Workers: 1,
-		Metrics: reg,
-		Faults:  faults,
-		Retry: retry.Policy{
-			MaxAttempts: 6,
-			BaseDelay:   4 * time.Millisecond,
-			Rand:        func() float64 { return 0.99 },
-		},
-		Breaker: breaker.Config{FailureThreshold: 2, Cooldown: time.Millisecond},
-	})
+	s := New(Config{Workers: 1, Metrics: reg, Faults: faults})
 	s.Start()
 	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())
@@ -308,18 +294,15 @@ func TestRetryBreakerEndToEnd(t *testing.T) {
 	if st.Retries < 2 {
 		t.Errorf("Retries = %d, want >= 2 (two injected failures)", st.Retries)
 	}
-	if got := reg.Counter("serd/breaker/alpha/trips").Value(); got < 1 {
-		t.Errorf("alpha breaker trips = %d, want >= 1", got)
-	}
-	if got := s.breakers["alpha"].State(); got != breaker.Closed {
-		t.Errorf("alpha breaker finished %v, want closed (recovered)", got)
-	}
 	if got := reg.Counter("serd/retries").Value(); got != st.Retries {
 		t.Errorf("registry retries = %d, job retries = %d", got, st.Retries)
 	}
+	if got := reg.Counter("dist/shards/retried").Value(); got != st.Retries {
+		t.Errorf("retried shard attempts = %d, job retries = %d", got, st.Retries)
+	}
 
-	// Bit-identical despite the mid-stage failures: the successful
-	// attempt reran the whole stage from its deterministic seeds.
+	// Bit-identical despite the mid-shard failures: the successful
+	// attempt reran the shard from its deterministic seeds.
 	assertResultEqual(t, st.Result, baseline)
 }
 

@@ -443,9 +443,10 @@ func TestConfigErrorsTyped(t *testing.T) {
 	}
 }
 
-// TestStagedFlowMatchesRunFlow checks the serving layer's staged pipeline
-// (CharacterizeFlowCtx + per-species SpeciesFITCtx) reproduces the
-// monolithic RunFlow bit-identically — the invariant that makes daemon
+// TestStagedFlowMatchesRunFlow checks the serving layer's staged flow —
+// CharacterizeFlowCtx once, then each species' bins as one-bin shards of a
+// ShardEngine merged with AssembleSpeciesFIT — reproduces the
+// monolithic RunFlow bit-identically: the invariant that makes daemon
 // results interchangeable with CLI results.
 func TestStagedFlowMatchesRunFlow(t *testing.T) {
 	cfg := resilienceFlowConfig()
@@ -464,18 +465,35 @@ func TestStagedFlowMatchesRunFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CharacterizeFlowCtx: %v", err)
 	}
-	alpha, err := SpeciesFITCtx(ctx, cfg, char, Alpha)
+	eng, err := NewShardEngine(cfg, char)
 	if err != nil {
-		t.Fatalf("SpeciesFITCtx(alpha): %v", err)
+		t.Fatalf("NewShardEngine: %v", err)
 	}
-	proton, err := SpeciesFITCtx(ctx, cfg, char, Proton)
-	if err != nil {
-		t.Fatalf("SpeciesFITCtx(proton): %v", err)
+	for _, c := range []struct {
+		name string
+		sp   Species
+		want FITResult
+	}{{"alpha", Alpha, base.Alpha}, {"proton", Proton, base.Proton}} {
+		bins, err := SpeciesBins(cfg, c.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []POFPoint
+		for b := range bins {
+			shard, _, err := eng.SpeciesPOFCtx(ctx, c.sp, b, b+1)
+			if err != nil {
+				t.Fatalf("%s shard %d: %v", c.name, b, err)
+			}
+			pts = append(pts, shard...)
+		}
+		got, err := AssembleSpeciesFIT(cfg, c.sp, nil, pts)
+		if err != nil {
+			t.Fatalf("AssembleSpeciesFIT(%s): %v", c.name, err)
+		}
+		assertFITEqual(t, c.name, c.want, got)
 	}
-	assertFITEqual(t, "alpha", base.Alpha, alpha)
-	assertFITEqual(t, "proton", base.Proton, proton)
 
-	if _, err := SpeciesFITCtx(ctx, cfg, char, Species(99)); err == nil {
+	if _, _, err := eng.SpeciesPOFCtx(ctx, Species(99), 0, 1); err == nil {
 		t.Error("unsupported species accepted")
 	}
 }
