@@ -1,11 +1,10 @@
-// Package breaker implements a closed → open → half-open circuit breaker
-// for the serving layer's per-workload-class flow stages. When a class of
-// work (say, proton FIT integration) fails repeatedly, the breaker opens
-// and sheds further attempts of that class immediately — a fast ErrOpen
-// instead of minutes of doomed Monte-Carlo burning a worker — while other
-// classes keep flowing. After a cooldown the breaker lets a single probe
-// through (half-open); a healthy probe closes the circuit, a failed one
-// re-opens it for another cooldown.
+// Package breaker implements a closed → open → half-open circuit breaker,
+// one per remote worker serd behind a coordinator. When a worker fails
+// repeatedly, its breaker opens and sheds further shard attempts
+// immediately — a fast ErrOpen instead of minutes waiting on a dead host —
+// while the other workers keep taking shards. After a cooldown the breaker
+// lets a single probe through (half-open); a healthy probe closes the
+// circuit, a failed one re-opens it for another cooldown.
 package breaker
 
 import (
