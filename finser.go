@@ -574,22 +574,9 @@ func RunFlowCtx(ctx context.Context, cfg FlowConfig) (*FlowResult, error) {
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
-	charSpan := flow.Child("characterize")
-	char, err := CharacterizeCtx(ctx, CharConfig{
-		Tech:             cfg.Tech,
-		Vdd:              cfg.Vdd,
-		Samples:          cfg.Samples,
-		ProcessVariation: cfg.ProcessVariation,
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		Metrics:          sram.NewMetrics(cfg.Obs),
-		Progress:         cfg.Progress,
-		Faults:           cfg.Faults,
-		Guard:            cfg.newGuard(),
-	})
-	charSpan.End()
+	char, err := characterizeFlow(ctx, cfg, flow)
 	if err != nil {
-		return nil, fmt.Errorf("finser: characterize: %w", err)
+		return nil, err
 	}
 	return runFlowWithChar(ctx, cfg, char, flow)
 }
@@ -735,6 +722,13 @@ func CharacterizeFlowCtx(ctx context.Context, cfg FlowConfig) (*Characterization
 	}
 	flow := cfg.Obs.StartSpan("flow")
 	defer flow.End()
+	return characterizeFlow(ctx, cfg, flow)
+}
+
+// characterizeFlow runs the flow's characterization stage under the given
+// (possibly nil) flow span. It is the one FlowConfig → CharConfig mapping;
+// cfg must already carry defaults.
+func characterizeFlow(ctx context.Context, cfg FlowConfig, flow *obs.Span) (*Characterization, error) {
 	charSpan := flow.Child("characterize")
 	char, err := CharacterizeCtx(ctx, CharConfig{
 		Tech:             cfg.Tech,
@@ -966,13 +960,13 @@ type flowFingerprint struct {
 	ItersPerBin      int
 	// FITRelErr selects the adaptive FIT mode and its tolerance; it decides
 	// which batches each bin consumes, so it is result-determining.
-	FITRelErr float64
-	AlphaRate float64
-	ProtonScale      float64
-	AlphaBins        int
-	ProtonBins       int
-	Pattern          DataPattern
-	Seed             uint64
+	FITRelErr   float64
+	AlphaRate   float64
+	ProtonScale float64
+	AlphaBins   int
+	ProtonBins  int
+	Pattern     DataPattern
+	Seed        uint64
 	// Workers changes the per-worker RNG substream split, so a checkpoint
 	// is only bit-exact when resumed with the same effective parallelism.
 	Workers int

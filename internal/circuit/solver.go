@@ -71,6 +71,11 @@ type TransientSpec struct {
 	// ExtraBreakpoints are times the stepper must land on exactly, in
 	// addition to breakpoints collected from source waveforms.
 	ExtraBreakpoints []float64
+	// Stop, when non-nil, is consulted after every accepted step with the
+	// step's time and solution; returning true ends the analysis there, so
+	// the last trajectory point is the one it was shown. x is the solver's
+	// working buffer, valid only during the call. Nil runs to TStop.
+	Stop func(t float64, x Solution) bool
 }
 
 // TransientStats aggregates solver diagnostics over one transient run —
@@ -142,7 +147,8 @@ func (r *TransientResult) MaxAbs(n Node) float64 {
 // Transient runs a backward-Euler transient analysis from the given initial
 // condition (typically a DC operating point). The stepper grows the step
 // geometrically, lands exactly on waveform breakpoints, and retries with a
-// halved step when Newton fails to converge.
+// halved step when Newton fails to converge. It ends at TStop, or earlier
+// at the first accepted step spec.Stop reports true for.
 func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientResult, error) {
 	c.assignBranches()
 	n := c.unknowns()
@@ -251,6 +257,9 @@ func (c *Circuit) Transient(initial Solution, spec TransientSpec) (*TransientRes
 		x, xNew = xNew, x
 		res.Times = append(res.Times, t)
 		res.Values = append(res.Values, ws.snapshot(x))
+		if spec.Stop != nil && spec.Stop(t, x) {
+			break
+		}
 		if hitBreak {
 			bpIdx++
 			dt = spec.InitStep

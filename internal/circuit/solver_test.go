@@ -113,6 +113,52 @@ func TestTransientBreakpointLanding(t *testing.T) {
 	}
 }
 
+// TestTransientStopEndsEarly checks the stop predicate: it sees every
+// accepted step, the run ends at the first step it accepts, and the
+// trajectory up to there is bit-identical to the full-window run.
+func TestTransientStopEndsEarly(t *testing.T) {
+	c := New()
+	in := c.Node("in")
+	out := c.Node("out")
+	c.AddVSource("v1", in, Ground, PWL{Times: []float64{0, 1e-12}, Values: []float64{0, 1}})
+	c.AddResistor("r1", in, out, 1e3)
+	c.AddCapacitor("c1", out, Ground, 1e-12)
+	init, err := c.OperatingPoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := TransientSpec{TStop: 5e-9, InitStep: 5e-12, MaxStep: 2e-11}
+	full, err := c.Transient(init, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	spec.Stop = func(tp float64, x Solution) bool {
+		calls++
+		return x[out] >= 0.5
+	}
+	early, err := c.Transient(init, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(early.Times)
+	if n >= len(full.Times) {
+		t.Fatalf("stopped run kept %d points, full run %d", n, len(full.Times))
+	}
+	if calls != early.Stats.Steps || early.Stats.Steps != n-1 {
+		t.Errorf("predicate calls %d, steps %d, points %d", calls, early.Stats.Steps, n)
+	}
+	for i := 0; i < n; i++ {
+		if early.Times[i] != full.Times[i] || early.Values[i][out] != full.Values[i][out] {
+			t.Fatalf("point %d differs from the full run", i)
+		}
+	}
+	if early.Final(out) < 0.5 || early.Values[n-2][out] >= 0.5 {
+		t.Errorf("run did not end at the first step past 0.5 V: last two %v, %v",
+			early.Values[n-2][out], early.Final(out))
+	}
+}
+
 // badDevice drives the solver into non-finite territory.
 type badDevice struct{}
 

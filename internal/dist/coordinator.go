@@ -102,10 +102,9 @@ type Config struct {
 	// StealAfter is how long a shard may stay in flight before an idle
 	// runner duplicate-dispatches it; 0 selects 30s.
 	StealAfter time.Duration
-	// Retry shapes the backoff between one shard's failed attempts
-	// (MaxAttempts is ignored — ShardAttempts owns the budget). BaseDelay
-	// is also how often a runner sidelined by its breaker re-checks
-	// readiness.
+	// Retry shapes the backoff between one shard's failed attempts, whose
+	// budget is ShardAttempts. BaseDelay is also how often a runner
+	// sidelined by its breaker re-checks readiness.
 	Retry retry.Policy
 	// Metrics, when non-nil, receives shard counters, per-runner latency
 	// histograms, and the healthy-runner gauge.

@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"finser/internal/finfet"
+	"finser/internal/obs"
 )
 
-// BenchmarkStrikeTransient times one full strike simulation — the unit of
-// work behind every characterization sample.
+// BenchmarkStrikeTransient times one strike simulation, run to settle —
+// the unit of work behind every characterization sample.
 func BenchmarkStrikeTransient(b *testing.B) {
 	cell, err := NewCell(finfet.Default14nmSOI(), 0.8, VthShifts{})
 	if err != nil {
@@ -35,6 +36,29 @@ func BenchmarkCriticalChargeBisection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCharacterizeSample times one 8-sample process-variation
+// characterization at 0.8 V on one worker and reports its work as
+// deterministic per-op counts: flip_sims/op (strike transients) and
+// transient_steps/op (accepted solver steps). The counts do not depend on
+// the machine, so a budget on them catches a return to full-window strikes
+// or a re-added bisection axis.
+func BenchmarkCharacterizeSample(b *testing.B) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	cfg := CharConfig{
+		Tech: finfet.Default14nmSOI(), Vdd: 0.8,
+		ProcessVariation: true, Samples: 8, Seed: 1, Workers: 1, Metrics: m,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Characterize(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.FlipSims.Value())/float64(b.N), "flip_sims/op")
+	b.ReportMetric(float64(m.Solver.TransientSteps.Value())/float64(b.N), "transient_steps/op")
 }
 
 // BenchmarkPOFEvaluation times the hot array-MC path: POF lookup for a

@@ -12,6 +12,12 @@
 //	I2 — the pull-down NMOS on the "1" node (strike pulls QB down),
 //	I3 — the pass-gate NMOS on the "0" node (strike pulls Q up from BL).
 //
+// I1 and I3 both inject into Q from an ideal Vdd source (the supply and the
+// precharged bit line), so their critical charges are equal by
+// construction: characterization bisects I1 and copies it to I3. Hold-mode
+// strike transients end once the latch has settled (see SimulateStrike)
+// instead of running the whole 200 ps window.
+//
 // POF model. For a single struck transistor, the flip threshold under
 // process variation is the empirical distribution of its critical charge.
 // For multi-transistor strikes, the package uses a linear flip surface
@@ -159,6 +165,9 @@ type Cell struct {
 	init    circuit.Solution
 	strikes [NumAxes]*settableWaveform
 	metrics *Metrics // nil = uninstrumented (see SetMetrics)
+	// holdMode is set for a cell built with its word line off, the only
+	// condition in which SimulateStrike stops at settle.
+	holdMode bool
 }
 
 // settableWaveform lets strike sources be re-armed between simulations
@@ -206,7 +215,7 @@ func NewCell(tech finfet.Technology, vdd float64, shifts VthShifts) (*Cell, erro
 // solves the DC state with Q low, QB high.
 func buildCell(tech finfet.Technology, vdd float64, shifts VthShifts, wlVoltage float64) (*Cell, error) {
 	c := circuit.New()
-	cell := &Cell{Tech: tech, Vdd: vdd, ckt: c}
+	cell := &Cell{Tech: tech, Vdd: vdd, ckt: c, holdMode: wlVoltage == 0}
 
 	cell.q = c.Node("q")
 	cell.qb = c.Node("qb")
@@ -279,13 +288,22 @@ func (c *Cell) HoldVoltages() (q, qb float64) {
 // StrikeResult reports one simulated strike.
 type StrikeResult struct {
 	Flipped bool
+	// QFinal and QBFinal are the storage-node voltages where the transient
+	// ended: at settle (see SimulateStrike), or at the end of simWindow.
 	QFinal  float64
 	QBFinal float64
 }
 
-// simWindow is the post-strike settling window in seconds; the cell's
-// feedback resolves within a few ps, so 200 ps is decisively settled.
+// simWindow is the longest a strike transient runs, in seconds. The cell's
+// feedback resolves within a few ps, so 200 ps is decisively settled;
+// SimulateStrike stops a hold-mode strike at settle long before it.
 const simWindow = 200e-12
+
+// settleMargin is the storage-node separation |V(Q)−V(QB)|, as a fraction
+// of Vdd, that settles a hold-mode strike transient (see SimulateStrike).
+// Past it the latch's regenerative feedback only drives the nodes further
+// apart, so the sign of Q−QB — the flip outcome — is final.
+const settleMargin = 0.5
 
 // strikeStart is when the pulse begins, leaving a clean pre-strike
 // baseline.
@@ -295,10 +313,36 @@ const strikeStart = 1e-12
 // pulses of the given shape and reports whether the cell flipped. A zero
 // charge disables that axis. The pulse width is the paper's transit time
 // τ = L²/(µe·Vdd).
+//
+// The transient stops at settle: at the second consecutive accepted step,
+// at or past the last breakpoint of every armed strike waveform, whose
+// separation V(Q)−V(QB) is at least settleMargin·Vdd in magnitude, on the
+// same side as the step before. One such step is not enough: near the
+// metastable point the growing backward-Euler step can swing the
+// trajectory between the two basins for a few steps before it resolves.
+//
+// For ShapeDoubleExp the last breakpoint is T0+5τ_fall, where the residual
+// current is below e⁻⁵·I0 (under 1% of peak) and under 1% of the charge is
+// still to come.
+//
+// A strike with every charge zero runs the full simWindow, so hold-state
+// drift stays observable. So does every strike on a cell not in hold mode:
+// with the word line on, the pass gates pull both storage nodes toward the
+// precharged bit lines, the latch's separatrix tilts away from Q = QB, and
+// a read-mode strike at 0.6 V was measured passing the margin and still
+// recovering. A deck-built cell's operating condition is opaque, so it
+// runs the full window too.
 func (c *Cell) SimulateStrike(charges [NumAxes]float64, shape PulseShape) (StrikeResult, error) {
 	tau := c.Tech.TransitTime(c.Vdd)
+	settleAt := -1.0 // last strike-waveform breakpoint; negative when none is armed
 	for a := AxisI1; a < NumAxes; a++ {
-		c.strikes[a].w = buildPulse(shape, charges[a], tau)
+		w := buildPulse(shape, charges[a], tau)
+		c.strikes[a].w = w
+		if w != nil {
+			for _, bp := range w.Breakpoints() {
+				settleAt = math.Max(settleAt, bp)
+			}
+		}
 	}
 	defer func() {
 		for a := AxisI1; a < NumAxes; a++ {
@@ -306,11 +350,25 @@ func (c *Cell) SimulateStrike(charges [NumAxes]float64, shape PulseShape) (Strik
 		}
 	}()
 
-	res, err := c.ckt.Transient(c.init, circuit.TransientSpec{
+	spec := circuit.TransientSpec{
 		TStop:    simWindow,
 		InitStep: tau / 8,
 		MaxStep:  simWindow / 40,
-	})
+	}
+	if settleAt >= 0 && c.holdMode {
+		q, qb, margin := c.q, c.qb, settleMargin*c.Vdd
+		prev := 0.0 // separation at the previous accepted step; 0 before settleAt
+		spec.Stop = func(t float64, x circuit.Solution) bool {
+			sep := 0.0
+			if t >= settleAt {
+				sep = x[q] - x[qb]
+			}
+			settled := math.Abs(sep) >= margin && math.Abs(prev) >= margin && (sep > 0) == (prev > 0)
+			prev = sep
+			return settled
+		}
+	}
+	res, err := c.ckt.Transient(c.init, spec)
 	if err != nil {
 		return StrikeResult{}, fmt.Errorf("sram: strike transient: %w", err)
 	}

@@ -99,9 +99,9 @@ const FaultSiteSample = "sram.sample"
 
 // Characterize runs the process-variation Monte Carlo: for each variation
 // sample it builds the cell and bisects the critical charge of each
-// sensitive axis. Samples run in parallel on cfg.Workers goroutines with
-// deterministic per-sample random substreams. It is CharacterizeCtx with a
-// background context.
+// sensitive axis (I3 takes I1's, see CharacterizeCtx). Samples run in
+// parallel on cfg.Workers goroutines with deterministic per-sample random
+// substreams. It is CharacterizeCtx with a background context.
 func Characterize(cfg CharConfig) (*Characterization, error) {
 	return CharacterizeCtx(context.Background(), cfg)
 }
@@ -149,7 +149,7 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 		}
 		cell.SetMetrics(cfg.Metrics)
 		cell.SetGuard(cfg.Guard)
-		for a := AxisI1; a < NumAxes; a++ {
+		for _, a := range [...]Axis{AxisI1, AxisI2} {
 			q, err := cell.CriticalCharge(a, cfg.ChargeLo, cfg.ChargeHi, cfg.Shape)
 			if err != nil {
 				return qc, err
@@ -163,6 +163,11 @@ func CharacterizeCtx(ctx context.Context, cfg CharConfig) (*Characterization, er
 			}
 			qc[a] = q
 		}
+		// I3 is not bisected. In NewCell both VDD and BL are ideal DC(Vdd)
+		// sources, so the I1 (VDD→Q) and I3 (BL→Q) strike sources inject
+		// the same current into Q: their critical charges are equal by
+		// construction (DESIGN.md, "One Q-node strike axis").
+		qc[AxisI3] = qc[AxisI1]
 		return qc, nil
 	}
 

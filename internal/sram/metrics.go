@@ -15,7 +15,7 @@ type Metrics struct {
 	// VariationSamples counts completed process-variation samples.
 	VariationSamples *obs.Counter
 	// BisectionSteps counts critical-charge bisection probes (each one a
-	// full strike transient).
+	// strike transient).
 	BisectionSteps *obs.Counter
 	// FlipSims counts strike transient simulations.
 	FlipSims *obs.Counter

@@ -411,6 +411,11 @@ func TestValidateFlipSurface(t *testing.T) {
 	if agreement < 0.8 {
 		t.Errorf("flip-surface agreement = %v, want ≥ 0.8", agreement)
 	}
+	// Multi-axis strikes stop at settle too; the agreement is the one the
+	// full 200 ps window gave.
+	if agreement != 0.975 {
+		t.Errorf("flip-surface agreement = %v, want the full-window 0.975", agreement)
+	}
 }
 
 // --- helpers for the width-insensitivity test ---
