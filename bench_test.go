@@ -410,35 +410,6 @@ func incidenceEngine(b *testing.B, ch *Characterization, inc Incidence) *Engine 
 	return e
 }
 
-// BenchmarkNeutronSER times the indirect-ionization extension and reports
-// the neutron FIT and its ratio to alpha at 0.8 V.
-func BenchmarkNeutronSER(b *testing.B) {
-	chars := benchFixtures(b)
-	e := benchEngine(b, chars[key(0.8, true)])
-	rx := NewNeutronReactions()
-	nSpec, err := NewNeutronSpectrum(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nBins, _ := Bins(nSpec, 2, 1000, 8)
-	aSpec, _ := NewAlphaSpectrum(DefaultAlphaRate)
-	aBins, _ := Bins(aSpec, 0.5, 10, 8)
-	var nRes, aRes FITResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		if nRes, err = e.NeutronFIT(nSpec, rx, nBins, 20000, 5); err != nil {
-			b.Fatal(err)
-		}
-		if aRes, err = e.FIT(aSpec, aBins, 8000, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(nRes.TotalFIT, "neutron-fit")
-	if aRes.TotalFIT > 0 {
-		b.ReportMetric(nRes.TotalFIT/aRes.TotalFIT, "neutron/alpha")
-	}
-}
-
 // BenchmarkDepositModes is the LUT-vs-transport ablation: the paper builds
 // single-fin yield LUTs for tractability; full transport resolves chords.
 // Reports the POF ratio between the modes and their relative speed.
@@ -462,23 +433,6 @@ func BenchmarkDepositModes(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ratio, "lut/transport-pof")
-}
-
-// BenchmarkECCInterleave sweeps column-interleave factors over measured MBU
-// geometry and reports the uncorrectable share at 4-way interleaving.
-func BenchmarkECCInterleave(b *testing.B) {
-	chars := benchFixtures(b)
-	e := benchEngine(b, chars[key(0.7, true)])
-	var share float64
-	for i := 0; i < b.N; i++ {
-		rep := e.MBUStatsAtEnergy(phys.Alpha, 1, 30000, 6, 11)
-		as, err := ECCInterleaveSweep(rep, []int{1, 4}, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		share = as[1].UncorrectableShare
-	}
-	b.ReportMetric(100*share, "uncorrectable-%@4way")
 }
 
 // BenchmarkLargeArray measures engine scaling to a 64×64 array (4096 cells,
@@ -515,25 +469,4 @@ func BenchmarkGridLUTEval(b *testing.B) {
 		q[0] = 5e-17 + float64(i%64)*1e-18
 		_ = grid.POF(q)
 	}
-}
-
-// BenchmarkScrubLifetimeValidation cross-checks the analytic scrub model
-// against the event simulator and reports their ratio.
-func BenchmarkScrubLifetimeValidation(b *testing.B) {
-	sc := ScrubConfig{Words: 1 << 12, SEUFIT: 5e10}
-	analytic := sc.UncorrectableFIT(2)
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		res, err := SimulateLifetime(LifetimeConfig{
-			Words:              1 << 12,
-			SEURatePerHour:     5e10 / 1e9,
-			ScrubIntervalHours: 2,
-			MaxHours:           1e5,
-		}, 300, uint64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = res.FIT / analytic
-	}
-	b.ReportMetric(ratio, "sim/analytic-fit")
 }

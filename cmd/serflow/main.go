@@ -68,7 +68,6 @@ func main() {
 		iters    = flag.Int("iters", 30000, "array-MC particles per energy bin")
 		relErr   = flag.Float64("fit-rel-err", 0, "adaptive FIT: stop each energy bin once its POF confidence interval is inside this relative tolerance, in (0, 0.5] (0 = flat -iters budget); result-determining, so it is part of the checkpoint fingerprint")
 		pattern  = flag.String("pattern", "zeros", "stored data pattern: zeros|ones|checkerboard")
-		neut     = flag.Bool("neutron", false, "also estimate neutron-induced (indirect) SER")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		jsonOut  = flag.String("json", "", "write results as JSON to this file")
 		progress = flag.Bool("progress", false, "print live per-stage progress with ETA on stderr")
@@ -206,15 +205,6 @@ func main() {
 			res.Alpha.TotalFIT, res.Alpha.SEUFIT, res.Alpha.MBUFIT, res.Alpha.MBUToSEU,
 			res.Proton.TotalFIT, res.Proton.SEUFIT, res.Proton.MBUFIT, res.Proton.MBUToSEU,
 			time.Since(start).Round(time.Millisecond))
-
-		if *neut {
-			nFIT, err := neutronFIT(c, res)
-			if err != nil {
-				log.Fatalf("vdd %g neutron: %v", vdd, err)
-			}
-			fmt.Printf("%6s  neutron: total=%.5g SEU=%.5g MBU=%.5g MBU/SEU=%.3f%%\n",
-				"", nFIT.TotalFIT, nFIT.SEUFIT, nFIT.MBUFIT, nFIT.MBUToSEU)
-		}
 	}
 
 	flush(results, reg, *jsonOut, *metrics)
@@ -312,30 +302,6 @@ func buildConfig(vddList string, rows, cols int, pv bool, samples, iters int, re
 		Pattern:          pat,
 		Seed:             seed,
 	}, vdds, nil
-}
-
-// neutronFIT runs the indirect-ionization extension with the flow's
-// already-built characterization.
-func neutronFIT(cfg finser.FlowConfig, res *finser.FlowResult) (finser.FITResult, error) {
-	tr := finser.DefaultTransport()
-	tr.Metrics = finser.NewTransportMetrics(cfg.Obs)
-	eng, err := finser.NewEngine(finser.EngineConfig{
-		Tech: finser.Default14nmSOI(), Rows: cfg.Rows, Cols: cfg.Cols,
-		Char: res.Char, Transport: tr, Pattern: cfg.Pattern,
-		Metrics: finser.NewEngineMetrics(cfg.Obs), Progress: cfg.Progress,
-	})
-	if err != nil {
-		return finser.FITResult{}, err
-	}
-	spec, err := finser.NewNeutronSpectrum(1)
-	if err != nil {
-		return finser.FITResult{}, err
-	}
-	bins, err := finser.Bins(spec, 2, 1000, 10)
-	if err != nil {
-		return finser.FITResult{}, err
-	}
-	return eng.NeutronFIT(spec, finser.NewNeutronReactions(), bins, cfg.ItersPerBin, cfg.Seed+3)
 }
 
 func parseVdds(s string) ([]float64, error) {

@@ -1,75 +1,9 @@
 package finser
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-// Integration tests for the public API surface beyond the paper's core
-// flow: neutron SER, MBU/ECC analysis, deposit-mode selection, and
-// altitude scaling.
-
-func TestNeutronFacade(t *testing.T) {
-	res := sharedFlow(t)
-	eng, err := NewEngine(EngineConfig{
-		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := NewNeutronSpectrum(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewNeutronSpectrum(0); err == nil {
-		t.Error("zero neutron scale accepted")
-	}
-	bins, err := Bins(spec, 2, 1000, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nRes, err := eng.NeutronFIT(spec, NewNeutronReactions(), bins, 15000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nRes.TotalFIT <= 0 {
-		t.Fatal("neutron FIT zero through the facade")
-	}
-	// SOI suppression: neutron FIT well below alpha FIT.
-	if nRes.TotalFIT >= res.Alpha.TotalFIT {
-		t.Errorf("neutron FIT %v not below alpha %v", nRes.TotalFIT, res.Alpha.TotalFIT)
-	}
-}
-
-func TestMBUAndECCFacade(t *testing.T) {
-	res := sharedFlow(t)
-	eng, err := NewEngine(EngineConfig{
-		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := eng.MBUStatsAtEnergy(Alpha, 1, 30000, 6, 5)
-	if rep.TotalPairWeight() <= 0 {
-		t.Fatal("no MBU pairs through the facade")
-	}
-	analyses, err := ECCInterleaveSweep(rep, []int{1, 4}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if analyses[0].UncorrectableShare <= analyses[1].UncorrectableShare {
-		t.Error("interleaving did not reduce the uncorrectable share")
-	}
-	residual := ResidualMBUFIT(res.Alpha.MBUFIT, analyses[1])
-	if residual < 0 || residual > res.Alpha.MBUFIT {
-		t.Errorf("residual FIT %v outside [0, MBU FIT]", residual)
-	}
-	if _, err := AnalyzeECC(rep, ECCScheme{Interleave: 0}); err == nil {
-		t.Error("invalid scheme accepted")
-	}
-}
+// Integration tests for the public API surface beyond the one-call flow:
+// deposit-mode selection and the serialized grid LUT as a POF provider.
 
 func TestDepositModeFacade(t *testing.T) {
 	res := sharedFlow(t)
@@ -87,46 +21,6 @@ func TestDepositModeFacade(t *testing.T) {
 	}
 	if pts[0].Tot <= 0 {
 		t.Error("LUT deposit mode produced zero POF via the facade")
-	}
-}
-
-func TestAltitudeScaleFacade(t *testing.T) {
-	if AltitudeScale(0) != 1 {
-		t.Error("sea level scale should be 1")
-	}
-	denver := AltitudeScale(1600)
-	if denver <= 1 {
-		t.Error("altitude scale should exceed 1 above sea level")
-	}
-	// Feeds directly into the proton spectrum.
-	p, err := NewProtonSpectrum(denver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, _ := NewProtonSpectrum(1)
-	r := p.DifferentialFlux(10) / p0.DifferentialFlux(10)
-	if math.Abs(r-denver) > 1e-9 {
-		t.Errorf("spectrum scale %v != altitude scale %v", r, denver)
-	}
-}
-
-func TestAdaptiveFacade(t *testing.T) {
-	res := sharedFlow(t)
-	eng, err := NewEngine(EngineConfig{
-		Tech: Default14nmSOI(), Rows: 9, Cols: 9,
-		Char: res.Char, Transport: DefaultTransport(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad, err := eng.POFAtEnergyAdaptive(Alpha, 1, AdaptiveSpec{
-		TargetRelErr: 0.1, BatchSize: 4000, MaxStrikes: 200000,
-	}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ad.Converged {
-		t.Errorf("adaptive estimate did not converge in %d strikes", ad.Strikes)
 	}
 }
 
@@ -153,27 +47,5 @@ func TestGridLUTFacade(t *testing.T) {
 	}
 	if pts[0].Tot <= 0 {
 		t.Error("grid-LUT-driven engine gave zero POF")
-	}
-}
-
-func TestScrubAndLifetimeFacade(t *testing.T) {
-	sc := ScrubConfig{Words: 1 << 16, SEUFIT: 500, MBUFIT: 20, UncorrectableShare: 0.05}
-	if sc.UncorrectableFIT(24) < sc.MBUFloorFIT() {
-		t.Error("scrub model floor violated")
-	}
-	if MTTFHours(1e9) != 1 {
-		t.Error("MTTF conversion wrong")
-	}
-	res, err := SimulateLifetime(LifetimeConfig{
-		Words:              1 << 10,
-		SEURatePerHour:     0.2,
-		ScrubIntervalHours: 10,
-		MaxHours:           1e5,
-	}, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 50 {
-		t.Errorf("trials = %d", res.Trials)
 	}
 }

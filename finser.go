@@ -40,15 +40,11 @@ import (
 
 	"finser/internal/checkpoint"
 	"finser/internal/core"
-	"finser/internal/ecc"
 	"finser/internal/faultinject"
 	"finser/internal/finfet"
 	"finser/internal/guard"
-	"finser/internal/lifetime"
-	"finser/internal/neutron"
 	"finser/internal/obs"
 	"finser/internal/phys"
-	"finser/internal/scrub"
 	"finser/internal/spectra"
 	"finser/internal/sram"
 	"finser/internal/transport"
@@ -89,36 +85,10 @@ type (
 	TransportConfig = transport.Config
 	// PulseShape selects the injected current waveform.
 	PulseShape = sram.PulseShape
-	// NeutronReactions is the neutron–silicon reaction model (indirect
-	// ionization extension; the paper's §7 future work).
-	NeutronReactions = neutron.Reactions
-	// NeutronPoint is the weighted array POF at one neutron energy.
-	NeutronPoint = core.NeutronPoint
-	// MBUReport summarizes upset multiplicity and geometry at one energy.
-	MBUReport = core.MBUReport
-	// AdaptiveSpec controls the run-until-precision Monte-Carlo stopping
-	// rule.
-	AdaptiveSpec = core.AdaptiveSpec
-	// AdaptivePOF is a POF estimate with convergence metadata.
-	AdaptivePOF = core.AdaptivePOF
 	// BinConv is one FIT energy bin's convergence record under the adaptive
 	// mode (FlowConfig.FITRelErr > 0): achieved relative error, weight-scaled
 	// tolerance, consumed batches, and strikes saved versus the flat budget.
 	BinConv = core.BinConv
-	// PairKey is the row/column separation of an upset cell pair.
-	PairKey = core.PairKey
-	// ECCScheme describes word organization for interleaving analysis.
-	ECCScheme = ecc.Scheme
-	// ECCAnalysis is the outcome of applying a scheme to an MBU report.
-	ECCAnalysis = ecc.Analysis
-	// ScrubConfig models periodic scrubbing of an ECC-protected memory.
-	ScrubConfig = scrub.Config
-	// ScrubPoint is one entry of a scrub-interval sweep.
-	ScrubPoint = scrub.Point
-	// LifetimeConfig drives the event-level memory lifetime simulator.
-	LifetimeConfig = lifetime.Config
-	// LifetimeResult summarizes simulated memory lifetimes.
-	LifetimeResult = lifetime.Result
 	// Metrics is the cross-layer metrics registry (counters, gauges,
 	// histograms, stage spans) snapshotable to JSON and publishable via
 	// expvar. A nil *Metrics disables instrumentation at zero cost.
@@ -249,15 +219,6 @@ func ProgressPrinter(w io.Writer) ProgressFunc {
 	return obs.Printer(w)
 }
 
-// SimulateLifetime runs the event-driven scrubbed-memory simulator — the
-// Monte-Carlo validation of the analytic ScrubConfig model.
-func SimulateLifetime(cfg LifetimeConfig, trials int, seed uint64) (LifetimeResult, error) {
-	return lifetime.Simulate(cfg, trials, seed)
-}
-
-// MTTFHours converts a FIT rate to mean time to failure in hours.
-func MTTFHours(fit float64) float64 { return scrub.MTTFHours(fit) }
-
 // Particle species.
 const (
 	Proton = phys.Proton
@@ -329,33 +290,6 @@ func NewProtonSpectrum(scale float64) (Spectrum, error) {
 	return spectra.NewProtonSeaLevel(scale)
 }
 
-// NewNeutronSpectrum builds the sea-level neutron environment; scale
-// multiplies the nominal (JEDEC-class) flux.
-func NewNeutronSpectrum(scale float64) (Spectrum, error) {
-	return neutron.NewSeaLevel(scale)
-}
-
-// NewNeutronReactions builds the neutron–silicon reaction model used by
-// Engine.NeutronFIT.
-func NewNeutronReactions() *NeutronReactions { return neutron.NewReactions() }
-
-// AnalyzeECC classifies an MBU report's pair statistics under a word
-// organization, returning the SEC-DED-uncorrectable share.
-func AnalyzeECC(rep MBUReport, s ECCScheme) (ECCAnalysis, error) {
-	return ecc.Analyze(rep, s)
-}
-
-// ECCInterleaveSweep evaluates the uncorrectable share across column-
-// interleaving factors.
-func ECCInterleaveSweep(rep MBUReport, factors []int, sameRowOnly bool) ([]ECCAnalysis, error) {
-	return ecc.InterleaveSweep(rep, factors, sameRowOnly)
-}
-
-// ResidualMBUFIT estimates the post-ECC failure rate contributed by MBUs.
-func ResidualMBUFIT(mbuFIT float64, a ECCAnalysis) float64 {
-	return ecc.ResidualMBUFIT(mbuFIT, a)
-}
-
 // Bins discretizes a spectrum into n log-spaced energy bins over [lo, hi]
 // MeV with per-bin integral fluxes (the Eq. 8 discretization).
 func Bins(s Spectrum, lo, hi float64, n int) ([]EnergyBin, error) {
@@ -364,13 +298,6 @@ func Bins(s Spectrum, lo, hi float64, n int) ([]EnergyBin, error) {
 
 // DefaultAlphaRate is the paper's assumed alpha emission rate, α/(cm²·h).
 const DefaultAlphaRate = spectra.DefaultAlphaRate
-
-// AltitudeScale returns the atmospheric-flux multiplier at the given
-// altitude in metres (1 at sea level), for use as a proton/neutron
-// spectrum scale.
-func AltitudeScale(altitudeMeters float64) float64 {
-	return spectra.AltitudeScale(altitudeMeters)
-}
 
 // FlowConfig configures the end-to-end flow at a single supply voltage.
 type FlowConfig struct {

@@ -1,82 +1,72 @@
 package core
 
 import (
+	"math"
 	"testing"
 
-	"finser/internal/phys"
+	"finser/internal/rng"
+	"finser/internal/stats"
 )
 
-func TestAdaptivePOFConverges(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	res, err := e.POFAtEnergyAdaptive(phys.Alpha, 1, AdaptiveSpec{
-		TargetRelErr: 0.05, BatchSize: 5000, MaxStrikes: 400000,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
+// TestBinEstimatorPoolsBatches: folding batch summaries into a
+// BinEstimator must give the mean and standard error of one Welford pass
+// over the concatenated per-strike stream, and strike-weighted means of
+// the secondary channels.
+func TestBinEstimatorPoolsBatches(t *testing.T) {
+	src := rng.New(11)
+	var est BinEstimator
+	var all stats.Welford
+	var sumSEU, sumMBU, sumHits float64
+	total := 0
+	for k, n := range []int{1, 37, 400, 2, 1000, 93} {
+		var w stats.Welford
+		var seu, mbu, hits float64
+		for i := 0; i < n; i++ {
+			x := 0.0
+			if src.Float64() < 0.3 { // most strikes miss, as in a real bin
+				x = src.Float64()
+			}
+			w.Add(x)
+			all.Add(x)
+			seu += 0.8 * x
+			mbu += 0.2 * x
+			if x > 0 {
+				hits++
+			}
+		}
+		nf := float64(n)
+		est.AddBatch(POFPoint{
+			EnergyMeV: 2, Tot: w.Mean(), TotStdErr: w.StdErr(), Strikes: n,
+			SEU: seu / nf, MBU: mbu / nf, HitFrac: hits / nf,
+		})
+		sumSEU, sumMBU, sumHits = sumSEU+seu, sumMBU+mbu, sumHits+hits
+		total += n
+		if est.Batches() != k+1 || est.Strikes() != total {
+			t.Fatalf("after batch %d: %d batches, %d strikes; want %d, %d", k, est.Batches(), est.Strikes(), k+1, total)
+		}
+		if !nearlyEqual(est.Mean(), all.Mean()) || !nearlyEqual(est.StdErr(), all.StdErr()) {
+			t.Fatalf("after batch %d: mean %v ± %v, single pass %v ± %v", k, est.Mean(), est.StdErr(), all.Mean(), all.StdErr())
+		}
 	}
-	if !res.Converged {
-		t.Fatalf("alpha at 1 MeV failed to converge in %d strikes", res.Strikes)
+	pt := est.Point()
+	tf := float64(total)
+	if pt.EnergyMeV != 2 || pt.Strikes != total || pt.Tot != est.Mean() || pt.TotStdErr != est.StdErr() {
+		t.Errorf("point %+v disagrees with the estimator", pt)
 	}
-	if res.RelErr > 0.05 {
-		t.Errorf("relative error %v above target", res.RelErr)
+	if !nearlyEqual(pt.SEU, sumSEU/tf) || !nearlyEqual(pt.MBU, sumMBU/tf) || !nearlyEqual(pt.HitFrac, sumHits/tf) {
+		t.Errorf("pooled channels %v/%v/%v, want %v/%v/%v", pt.SEU, pt.MBU, pt.HitFrac, sumSEU/tf, sumMBU/tf, sumHits/tf)
 	}
-	// The converged estimate agrees with a big fixed-budget run.
-	ref := e.POFAtEnergy(phys.Alpha, 1, 100000, 17)
-	diff := res.Tot - ref.Tot
-	if diff < 0 {
-		diff = -diff
+	if !nearlyEqual(est.RelErr(), all.StdErr()/all.Mean()) {
+		t.Errorf("rel err %v, want %v", est.RelErr(), all.StdErr()/all.Mean())
 	}
-	if diff > 5*(res.TotStdErr+ref.TotStdErr) {
-		t.Errorf("adaptive %v vs fixed %v beyond noise", res.Tot, ref.Tot)
-	}
-}
-
-func TestAdaptivePOFBudgetExhaustion(t *testing.T) {
-	// An extremely rare event cannot converge in a tiny budget; the result
-	// must come back flagged rather than looping.
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	res, err := e.POFAtEnergyAdaptive(phys.Proton, 50, AdaptiveSpec{
-		TargetRelErr: 0.01, BatchSize: 2000, MaxStrikes: 8000,
-	}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Error("impossible precision reported as converged")
-	}
-	if res.Strikes != 8000 {
-		t.Errorf("strikes = %d, want the full budget", res.Strikes)
-	}
-}
-
-func TestAdaptivePOFRareEventNeedsMoreStrikes(t *testing.T) {
-	// The whole point: a rare-event point must consume more strikes than a
-	// saturated point at the same target precision.
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	spec := AdaptiveSpec{TargetRelErr: 0.15, BatchSize: 4000, MaxStrikes: 2_000_000}
-	common, err := e.POFAtEnergyAdaptive(phys.Alpha, 1, spec, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rare, err := e.POFAtEnergyAdaptive(phys.Proton, 0.5, spec, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !common.Converged || !rare.Converged {
-		t.Skipf("convergence not reached (common=%v rare=%v)", common.Converged, rare.Converged)
-	}
-	if rare.Strikes <= common.Strikes {
-		t.Errorf("rare event used %d strikes, saturated used %d", rare.Strikes, common.Strikes)
+	var empty BinEstimator
+	if empty.Point() != (POFPoint{}) || empty.RelErr() != 0 {
+		t.Error("zero estimator is not empty")
 	}
 }
 
-func TestAdaptivePOFValidation(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	if _, err := e.POFAtEnergyAdaptive(phys.Alpha, 0, AdaptiveSpec{}, 1); err == nil {
-		t.Error("zero energy accepted")
-	}
+// nearlyEqual compares pooled and single-pass moments up to summation-order
+// rounding.
+func nearlyEqual(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 }

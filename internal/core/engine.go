@@ -179,12 +179,6 @@ type Config struct {
 	// counts violations; Strict fails the stage with a *guard.InvariantError.
 	// Nil (the default) costs one pointer check per particle.
 	Guard *guard.Guard
-	// NeutronSubstrateDepthNm is the depth of handle-wafer silicon (below
-	// the BOX) modelled as a neutron interaction volume. Energetic reaction
-	// secondaries born there can traverse the BOX and strike fins even
-	// though the BOX blocks charge diffusion. Zero selects 3000 nm, roughly
-	// the range of the hardest Si recoils.
-	NeutronSubstrateDepthNm float64
 }
 
 // Engine is a ready-to-run array SER estimator for one (technology, Vdd).

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"finser/internal/finfet"
-	"finser/internal/neutron"
 	"finser/internal/phys"
 	"finser/internal/rng"
 	"finser/internal/sram"
@@ -66,61 +65,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 	band := 5 * (a1.TotStdErr + b.TotStdErr)
 	if diff > band {
 		t.Errorf("worker counts disagree beyond noise: %v vs %v (band %v)", a1.Tot, b.Tot, band)
-	}
-}
-
-// TestSubstrateDepthAblation: deepening the neutron substrate volume must
-// not decrease the interaction weight, and a negligible substrate must
-// reduce the neutron response to the fin-only level.
-func TestSubstrateDepthAblation(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	mk := func(depth float64) *Engine {
-		e, err := New(Config{
-			Tech: finfet.Default14nmSOI(), Rows: 9, Cols: 9,
-			Char: ch, Transport: transport.DefaultConfig(),
-			NeutronSubstrateDepthNm: depth,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	rx := neutron.NewReactions()
-	shallow := mk(1).NeutronPOFAtEnergy(rx, 14, 30000, 7)
-	deep := mk(3000).NeutronPOFAtEnergy(rx, 14, 30000, 7)
-	if deep.InteractionWeight <= shallow.InteractionWeight {
-		t.Errorf("deep substrate weight %v not above shallow %v",
-			deep.InteractionWeight, shallow.InteractionWeight)
-	}
-	if deep.Tot <= shallow.Tot {
-		t.Errorf("deep substrate POF %v not above shallow %v", deep.Tot, shallow.Tot)
-	}
-}
-
-// TestSubstrateSlabGeometry checks the slab sits strictly below the BOX.
-func TestSubstrateSlabGeometry(t *testing.T) {
-	ch, _, _ := fixtures(t)
-	e := engineWith(t, ch)
-	slab, ok := e.substrateSlab()
-	if !ok {
-		t.Fatal("no substrate slab with default config")
-	}
-	tech := finfet.Default14nmSOI()
-	if slab.Max.Z != -tech.BoxDepthNm {
-		t.Errorf("slab top = %v, want %v", slab.Max.Z, -tech.BoxDepthNm)
-	}
-	if slab.Min.Z != -tech.BoxDepthNm-3000 {
-		t.Errorf("slab bottom = %v", slab.Min.Z)
-	}
-	b := e.arr.Bounds()
-	if slab.Min.X != b.Min.X || slab.Max.X != b.Max.X {
-		t.Error("slab footprint does not match array")
-	}
-	// No fin box may intrude into the slab.
-	for _, fin := range e.boxes {
-		if fin.Min.Z < slab.Max.Z {
-			t.Fatalf("fin %+v dips below the BOX", fin)
-		}
 	}
 }
 

@@ -23,7 +23,6 @@ type strikeScratch struct {
 	boxes     []geom.AABB         // candidate fin boxes handed to transport
 	deps      []transport.Deposit // per-track deposits
 	tr        transport.TraceScratch
-	chords    []chordSeg // neutron forced-interaction silicon chords
 
 	// Dense per-cell charge accumulator, replacing the per-strike
 	// map[int]*[NumAxes]float64: cellQ[ci] holds the sensitive-axis
@@ -37,12 +36,6 @@ type strikeScratch struct {
 	touched   []int
 
 	pofs []float64 // per-cell POFs fed to combinePOFs
-}
-
-// chordSeg is one silicon chord of a neutron track (entry parameter and
-// length along the ray).
-type chordSeg struct {
-	tIn, len float64
 }
 
 // newStrikeScratch sizes the dense accumulator for an nCells array.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"finser"
+	"finser/internal/dist"
 	"finser/internal/events"
 	"finser/internal/qos"
 )
@@ -36,8 +38,10 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// JobRequest is the FlowConfig-shaped submission body. Zero fields select
-// the same defaults as finser.FlowConfig; only Vdd is required.
+// JobRequest is the submission body: the fields of the shard wire's
+// dist.JobSpec under the same JSON names, plus the serving-only
+// TimeoutSeconds and Class. Zero fields select the same defaults as
+// finser.FlowConfig; only Vdd is required.
 type JobRequest struct {
 	Vdd              float64 `json:"vdd"`
 	Rows             int     `json:"rows,omitempty"`
@@ -93,21 +97,11 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("server: request field %s %s", e.Field, e.Reason)
 }
 
-// flowConfig maps the wire request onto a finser.FlowConfig, resolving
-// workers 0 to GOMAXPROCS — the value FlowFingerprint hashes. Field-level
-// validation beyond the mapping itself is finser's job (Validate).
+// flowConfig checks the serving-only fields, then maps the request onto a
+// finser.FlowConfig through the shard wire spec, resolving workers 0 to
+// GOMAXPROCS — the value FlowFingerprint hashes. Field-level validation
+// beyond the mapping itself is finser's job (Validate).
 func (r JobRequest) flowConfig() (finser.FlowConfig, error) {
-	var pat finser.DataPattern
-	switch strings.ToLower(r.Pattern) {
-	case "", "zeros":
-		pat = finser.PatternZeros
-	case "ones":
-		pat = finser.PatternOnes
-	case "checkerboard":
-		pat = finser.PatternCheckerboard
-	default:
-		return finser.FlowConfig{}, &RequestError{Field: "pattern", Reason: fmt.Sprintf("unknown %q", r.Pattern)}
-	}
 	if r.TimeoutSeconds < 0 {
 		return finser.FlowConfig{}, &RequestError{Field: "timeout_seconds", Reason: fmt.Sprintf("must not be negative, got %g", r.TimeoutSeconds)}
 	}
@@ -120,22 +114,27 @@ func (r JobRequest) flowConfig() (finser.FlowConfig, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return finser.FlowConfig{
+	cfg, err := dist.JobSpec{
 		Vdd:              r.Vdd,
 		Rows:             r.Rows,
 		Cols:             r.Cols,
 		ProcessVariation: r.ProcessVariation,
 		Samples:          r.Samples,
 		ItersPerBin:      r.ItersPerBin,
+		FITRelErr:        r.FitRelErr,
 		AlphaRate:        r.AlphaRate,
 		ProtonScale:      r.ProtonScale,
 		AlphaBins:        r.AlphaBins,
 		ProtonBins:       r.ProtonBins,
-		Pattern:          pat,
+		Pattern:          r.Pattern,
 		Seed:             r.Seed,
 		Workers:          workers,
-		FITRelErr:        r.FitRelErr,
-	}, nil
+	}.FlowConfig()
+	var we *dist.WireError
+	if errors.As(err, &we) {
+		return finser.FlowConfig{}, &RequestError{Field: we.Field, Reason: we.Reason}
+	}
+	return cfg, err
 }
 
 // JobResult is the completed flow's FIT rates — the FlowResult minus the

@@ -171,37 +171,3 @@ func TestProtonFluxDominatesAlphaFlux(t *testing.T) {
 		t.Errorf("proton flux %v /(cm²·h) not ≫ alpha %v", protonPerHour, alphaPerHour)
 	}
 }
-
-func TestAltitudeScale(t *testing.T) {
-	if AltitudeScale(0) != 1 || AltitudeScale(-100) != 1 {
-		t.Error("sea level should scale by exactly 1")
-	}
-	// Denver (~1600 m): known ~3-5x neutron flux.
-	denver := AltitudeScale(1600)
-	if denver < 2.5 || denver > 6 {
-		t.Errorf("Denver scale = %v, want ~3-5", denver)
-	}
-	// Avionics (~12 km): hundreds of times sea level.
-	avionics := AltitudeScale(12000)
-	if avionics < 100 || avionics > 2000 {
-		t.Errorf("12 km scale = %v, want O(several hundred)", avionics)
-	}
-	// Monotone increasing.
-	prev := 1.0
-	for h := 500.0; h <= 15000; h += 500 {
-		s := AltitudeScale(h)
-		if s <= prev {
-			t.Fatalf("altitude scale not increasing at %v m", h)
-		}
-		prev = s
-	}
-	// Usable as a spectrum scale.
-	p, err := NewProtonSeaLevel(AltitudeScale(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, _ := NewProtonSeaLevel(1)
-	if p.DifferentialFlux(10) <= p0.DifferentialFlux(10) {
-		t.Error("altitude-scaled spectrum not above sea level")
-	}
-}

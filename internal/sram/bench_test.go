@@ -8,12 +8,10 @@ import (
 )
 
 // BenchmarkStrikeTransient times one strike simulation, run to settle —
-// the unit of work behind every characterization sample.
+// the unit of work behind every characterization sample (the flip-sim
+// layer) — and reports its accepted solver steps as transient_steps/op.
 func BenchmarkStrikeTransient(b *testing.B) {
-	cell, err := NewCell(finfet.Default14nmSOI(), 0.8, VthShifts{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cell, m := benchCell(b)
 	var charges [NumAxes]float64
 	charges[AxisI1] = 1e-16
 	b.ResetTimer()
@@ -22,20 +20,33 @@ func BenchmarkStrikeTransient(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(m.Solver.TransientSteps.Value())/float64(b.N), "transient_steps/op")
 }
 
-// BenchmarkCriticalChargeBisection times one Qcrit extraction.
+// BenchmarkCriticalChargeBisection times one Qcrit extraction (the Qcrit
+// layer) and reports the strike simulations and solver steps it takes as
+// flip_sims/op and transient_steps/op.
 func BenchmarkCriticalChargeBisection(b *testing.B) {
-	cell, err := NewCell(finfet.Default14nmSOI(), 0.8, VthShifts{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cell, m := benchCell(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cell.CriticalCharge(AxisI1, 1e-18, 5e-14, ShapeRect); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(m.FlipSims.Value())/float64(b.N), "flip_sims/op")
+	b.ReportMetric(float64(m.Solver.TransientSteps.Value())/float64(b.N), "transient_steps/op")
+}
+
+// benchCell builds the nominal 0.8 V cell with its counters attached.
+func benchCell(b *testing.B) (*Cell, *Metrics) {
+	cell, err := NewCell(finfet.Default14nmSOI(), 0.8, VthShifts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewMetrics(obs.NewRegistry())
+	cell.SetMetrics(m)
+	return cell, m
 }
 
 // BenchmarkCharacterizeSample times one 8-sample process-variation
