@@ -59,14 +59,16 @@ func ParamsFor(t Technology, pol Polarity, nFins int) Params {
 }
 
 // ekvF is the EKV interpolation function F(u) = ln²(1+e^(u/2)), smooth from
-// weak to strong inversion.
-func ekvF(u float64) float64 {
+// weak to strong inversion, and its derivative
+// F′(u) = ln(1+e^(u/2))·e^(u/2)/(1+e^(u/2)).
+func ekvF(u float64) (f, df float64) {
 	// Guard the exponential for large |u|.
 	if u > 80 {
-		return u * u / 4
+		return u * u / 4, u / 2
 	}
-	l := math.Log1p(math.Exp(u / 2))
-	return l * l
+	e := math.Exp(u / 2)
+	l := math.Log1p(e)
+	return l * l, l * e / (1 + e)
 }
 
 // DrainCurrent returns the drain current of the device for terminal
@@ -75,9 +77,19 @@ func ekvF(u float64) float64 {
 // convention is "current into the drain terminal" for NMOS and out of it
 // for PMOS).
 func DrainCurrent(p Params, vg, vd, vs float64) float64 {
+	id, _, _, _ := DrainCurrentPartials(p, vg, vd, vs)
+	return id
+}
+
+// DrainCurrentPartials returns DrainCurrent together with its analytic
+// partial derivatives with respect to the gate, drain and source
+// voltages, all from one evaluation of the model.
+func DrainCurrentPartials(p Params, vg, vd, vs float64) (id, gg, gd, gs float64) {
 	sign := 1.0
 	if p.Polarity == PChannel {
-		// Mirror: a PMOS with voltages v behaves as an NMOS at -v.
+		// Mirror: a PMOS with voltages v behaves as an NMOS at -v. The
+		// current and the voltages both change sign, so the partials
+		// keep theirs.
 		vg, vd, vs = -vg, -vd, -vs
 		sign = -1
 	}
@@ -93,18 +105,22 @@ func DrainCurrent(p Params, vg, vd, vs float64) float64 {
 	nphi := p.N * p.thermalVoltage()
 	uf := (vgs - p.Vth) / nphi
 	ur := (vgs - p.Vth - p.N*vds) / nphi
-	id := p.Ispec * float64(max(p.NFins, 1)) * (ekvF(uf) - ekvF(ur)) * (1 + p.Lambda*vds)
+	ff, dff := ekvF(uf)
+	fr, dfr := ekvF(ur)
+	k := p.Ispec * float64(max(p.NFins, 1))
+	clm := 1 + p.Lambda*vds
+	id = k * (ff - fr) * clm
+	// Chain rule through uf and ur (∂uf/∂vg = 1/nphi, ∂ur/∂vd = -N/nphi)
+	// and the channel-length factor; the current depends only on vgs and
+	// vds, so the source partial closes the sum to zero.
+	a := k * clm / nphi
+	gg = a * (dff - dfr)
+	gd = a*p.N*dfr + k*(ff-fr)*p.Lambda
+	gs = -(gg + gd)
 	if swap {
-		id = -id
+		id, gg, gd, gs = -id, -gg, -gs, -gd
 	}
-	return sign * id
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return sign * id, gg, gd, gs
 }
 
 // Transistor is a three-terminal FinFET circuit device (SOI: no body
@@ -124,16 +140,10 @@ func NewTransistor(name string, p Params, d, g, s circuit.Node) *Transistor {
 func (t *Transistor) Name() string { return t.name }
 
 // Stamp implements circuit.Device: it evaluates the drain current and its
-// numerical Jacobian at the current Newton iterate and stamps the
-// linearized companion. Central differences on a smooth model are accurate
-// to ~1e-9 and keep the stamping free of hand-derived sign errors.
+// analytic Jacobian at the current Newton iterate in one model evaluation
+// and stamps the linearized companion.
 func (t *Transistor) Stamp(s *circuit.Stamper) {
-	vg, vd, vs := s.V(t.G), s.V(t.D), s.V(t.S)
-	id := DrainCurrent(t.P, vg, vd, vs)
-	const h = 1e-7
-	gg := (DrainCurrent(t.P, vg+h, vd, vs) - DrainCurrent(t.P, vg-h, vd, vs)) / (2 * h)
-	gd := (DrainCurrent(t.P, vg, vd+h, vs) - DrainCurrent(t.P, vg, vd-h, vs)) / (2 * h)
-	gs := (DrainCurrent(t.P, vg, vd, vs+h) - DrainCurrent(t.P, vg, vd, vs-h)) / (2 * h)
+	id, gg, gd, gs := DrainCurrentPartials(t.P, s.V(t.G), s.V(t.D), s.V(t.S))
 	// Positive id means conventional current flows from drain terminal to
 	// source terminal through the channel (for PMOS the model returns
 	// negative id in conduction, which reverses the flow direction here).

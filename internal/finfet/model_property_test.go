@@ -2,6 +2,7 @@ package finfet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -99,5 +100,61 @@ func TestZeroBiasZeroCurrent(t *testing.T) {
 				t.Fatalf("%v: Id(Vds=0) = %v at vg=%v", p.Polarity, id, vg)
 			}
 		}
+	}
+}
+
+// TestPartialsMatchCentralDifferences checks the analytic Jacobian of
+// DrainCurrentPartials against central differences of DrainCurrent, and
+// that the current it returns is DrainCurrent bit for bit: over random
+// bias points of both polarities, and at the source/drain swap, deep
+// subthreshold, the large-u branch of the EKV interpolation and NFins 0.
+func TestPartialsMatchCentralDifferences(t *testing.T) {
+	const h = 1e-7
+	check := func(name string, p Params, vg, vd, vs float64) {
+		t.Helper()
+		id, gg, gd, gs := DrainCurrentPartials(p, vg, vd, vs)
+		if want := DrainCurrent(p, vg, vd, vs); math.Float64bits(id) != math.Float64bits(want) {
+			t.Errorf("%s (%v, %v, %v): id %v, DrainCurrent %v", name, vg, vd, vs, id, want)
+		}
+		fd := [3]float64{
+			(DrainCurrent(p, vg+h, vd, vs) - DrainCurrent(p, vg-h, vd, vs)) / (2 * h),
+			(DrainCurrent(p, vg, vd+h, vs) - DrainCurrent(p, vg, vd-h, vs)) / (2 * h),
+			(DrainCurrent(p, vg, vd, vs+h) - DrainCurrent(p, vg, vd, vs-h)) / (2 * h),
+		}
+		got := [3]float64{gg, gd, gs}
+		scale := math.Max(math.Abs(gg), math.Max(math.Abs(gd), math.Abs(gs)))
+		if scale == 0 {
+			t.Fatalf("%s (%v, %v, %v): all partials zero", name, vg, vd, vs)
+		}
+		for k, term := range []string{"gate", "drain", "source"} {
+			if math.Abs(got[k]-fd[k]) > 1e-6*scale {
+				t.Errorf("%s (%v, %v, %v): d id/d v%s analytic %v, central difference %v",
+					name, vg, vd, vs, term, got[k], fd[k])
+			}
+		}
+	}
+	n, p := nparams(), pparams()
+	r := rand.New(rand.NewSource(1))
+	v := func() float64 { return -0.3 + 1.7*r.Float64() }
+	for i := 0; i < 10000; i++ {
+		check("random nfet", n, v(), v(), v())
+		check("random pfet", p, v(), v(), v())
+	}
+	// Drain below source: the model swaps the terminals.
+	check("swapped nfet", n, 0.8, 0.1, 0.7)
+	check("swapped pfet", p, 0.1, 0.7, 0.2)
+	// Deep subthreshold, where the current is e^u-small.
+	check("subthreshold nfet", n, -0.3, 0.8, 0)
+	check("subthreshold pfet", p, 1.1, 0, 0.8)
+	// uf and ur past 80, then only uf: the quadratic branch of ekvF.
+	check("large-u nfet", n, 4, 0.3, 0)
+	check("large-u mixed nfet", n, 4, 3.5, 0)
+	check("large-u pfet", p, -4, -0.3, 0)
+	// NFins 0 counts as one fin.
+	n0 := n
+	n0.NFins = 0
+	check("zero-fin nfet", n0, 0.8, 0.8, 0)
+	if a, b := DrainCurrent(n0, 0.8, 0.8, 0), DrainCurrent(n, 0.8, 0.8, 0); a != b {
+		t.Errorf("zero-fin current %v, one-fin %v", a, b)
 	}
 }

@@ -122,39 +122,3 @@ func (s *Source) Normal() float64 {
 func (s *Source) NormalAt(mean, sigma float64) float64 {
 	return mean + sigma*s.Normal()
 }
-
-// Exponential returns an exponential variate with the given rate lambda.
-func (s *Source) Exponential(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	u := s.Float64()
-	// 1-u is in (0,1], keeping Log finite.
-	return -math.Log(1-u) / lambda
-}
-
-// Poisson returns a Poisson variate with the given mean. For large means it
-// uses a normal approximation, which is ample for e-h pair-count statistics.
-func (s *Source) Poisson(mean float64) int64 {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		l := math.Exp(-mean)
-		var k int64
-		p := 1.0
-		for {
-			p *= s.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		v := math.Round(s.NormalAt(mean, math.Sqrt(mean)))
-		if v < 0 {
-			return 0
-		}
-		return int64(v)
-	}
-}

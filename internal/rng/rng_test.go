@@ -118,45 +118,6 @@ func TestNormalAt(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := New(9)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Exponential(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("exponential mean = %v", mean)
-	}
-}
-
-func TestExponentialPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on non-positive rate")
-		}
-	}()
-	New(1).Exponential(0)
-}
-
-func TestPoissonMean(t *testing.T) {
-	s := New(13)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(s.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) mean = %v", mean, got)
-		}
-	}
-	if got := s.Poisson(-1); got != 0 {
-		t.Errorf("Poisson(-1) = %d", got)
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	s := New(17)
 	counts := make([]int, 7)
