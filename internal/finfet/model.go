@@ -118,6 +118,8 @@ func DrainCurrentPartials(p Params, vg, vd, vs float64) (id, gg, gd, gs float64)
 	gd = a*p.N*dfr + k*(ff-fr)*p.Lambda
 	gs = -(gg + gd)
 	if swap {
+		// The model ran with drain and source exchanged: negate the
+		// current and trade the drain and source partials.
 		id, gg, gd, gs = -id, -gg, -gs, -gd
 	}
 	return sign * id, gg, gd, gs

@@ -11,19 +11,23 @@ import (
 	"finser/internal/rng"
 )
 
-// axisHash is a SHA-256 over every per-sample critical charge, axis by
-// axis, as little-endian IEEE-754 bits.
-func axisHash(ch *Characterization) string {
+// floatHash is a SHA-256 over the values of every slice, in order, as
+// little-endian IEEE-754 bits.
+func floatHash(vals ...[]float64) string {
 	h := sha256.New()
 	var b [8]byte
-	for a := range ch.Axis {
-		for _, q := range ch.Axis[a] {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(q))
+	for _, vs := range vals {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// axisHash is floatHash over every per-sample critical charge, axis by
+// axis.
+func axisHash(ch *Characterization) string { return floatHash(ch.Axis[:]...) }
 
 // TestCharacterizeGoldenHash pins a characterization bit for bit. The hash
 // was recorded before strike transients stopped at settle and before I3
